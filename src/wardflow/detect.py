@@ -49,8 +49,12 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
             raise FormatError(f"bad timestamp {obj['t']!r}", line=lineno) from None
         if t < 0:
             raise FormatError(f"negative timestamp {t}", line=lineno)
+        if not isinstance(obj["dets"], list):
+            raise FormatError(f"'dets' must be a list, got {obj['dets']!r}", line=lineno)
         dets = []
         for d in obj["dets"]:
+            if not isinstance(d, dict):
+                raise FormatError(f"detection must be an object, got {d!r}", line=lineno)
             cls = _CLASS_NAMES.get(d.get("cls"))
             if cls is None:
                 raise FormatError(f"unknown class {d.get('cls')!r}", line=lineno)

@@ -8,8 +8,7 @@ averaging window and refined coarse-to-fine over an image pyramid.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -87,19 +86,6 @@ class PolyExpansion:
     by: np.ndarray
     c: np.ndarray
 
-    @property
-    def A(self) -> np.ndarray:
-        out = np.empty(self.a11.shape + (2, 2))
-        out[..., 0, 0] = self.a11
-        out[..., 0, 1] = self.a12
-        out[..., 1, 0] = self.a12
-        out[..., 1, 1] = self.a22
-        return out
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.stack([self.bx, self.by], axis=-1)
-
 
 def _as_image(frame) -> np.ndarray:
     if isinstance(frame, GrayFrame):
@@ -108,6 +94,11 @@ def _as_image(frame) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("expected a 2-D image")
     return arr
+
+
+def _is_pyramid(frame) -> bool:
+    return isinstance(frame, list) and bool(frame) and all(
+        isinstance(e, PolyExpansion) for e in frame)
 
 
 def poly_expand(frame, poly_n: int = 5, poly_sigma: float = 1.1) -> PolyExpansion:
@@ -132,18 +123,12 @@ def poly_expand(frame, poly_n: int = 5, poly_sigma: float = 1.1) -> PolyExpansio
     G = np.einsum("yx,iyx,jyx->ij", w2d, basis, basis)
     Ginv = np.linalg.inv(G)
 
-    def corr(image, ky, kx):
-        tmp = ndimage.correlate1d(image, ky, axis=0, mode="nearest")
-        return ndimage.correlate1d(tmp, kx, axis=1, mode="nearest")
-
-    v = np.stack([
-        corr(img, k0, k0),
-        corr(img, k0, k1),
-        corr(img, k1, k0),
-        corr(img, k0, k2),
-        corr(img, k2, k0),
-        corr(img, k1, k1),
-    ], axis=-1)
+    # The six separable correlations need only three distinct y (axis-0)
+    # passes; each is shared by the x (axis-1) passes that follow it.
+    y0, y1, y2 = (ndimage.correlate1d(img, k, axis=0, mode="nearest") for k in (k0, k1, k2))
+    terms = [(y0, k0), (y0, k1), (y1, k0), (y0, k2), (y2, k0), (y1, k1)]
+    v = np.stack([ndimage.correlate1d(rows, kx, axis=1, mode="nearest") for rows, kx in terms],
+                 axis=-1)
     r = v @ Ginv.T
     return PolyExpansion(
         a11=r[..., 3], a22=r[..., 4], a12=r[..., 5] * 0.5,
@@ -159,32 +144,39 @@ def _gaussian_kernel(length: int) -> np.ndarray:
 
 
 def _blur(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    tmp = ndimage.correlate1d(arr, kernel, axis=0, mode="nearest")
-    return ndimage.correlate1d(tmp, kernel, axis=1, mode="nearest")
+    """Separable blur over the last two axes, so a stack blurs per plane."""
+    tmp = ndimage.correlate1d(arr, kernel, axis=-2, mode="nearest")
+    return ndimage.correlate1d(tmp, kernel, axis=-1, mode="nearest")
 
 
-def _warp(arr: np.ndarray, rr: np.ndarray, cc: np.ndarray) -> np.ndarray:
-    return ndimage.map_coordinates(arr, [rr, cc], order=1, mode="nearest")
+def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy) -> np.ndarray:
+    """Stacked terms of the normal equations of min ||A d - db||^2.
+
+    Kept apart from the blur so the warped coefficients are freed first.
+    """
+    coords = np.indices(dx.shape, dtype=np.float64)
+    coords[0] += dy
+    coords[1] += dx
+
+    def warp(arr):
+        return ndimage.map_coordinates(arr, coords, order=1, mode="nearest")
+
+    a11 = 0.5 * (e1.a11 + warp(e2.a11))
+    a12 = 0.5 * (e1.a12 + warp(e2.a12))
+    a22 = 0.5 * (e1.a22 + warp(e2.a22))
+    db1 = -0.5 * (warp(e2.bx) - e1.bx) + a11 * dx + a12 * dy
+    db2 = -0.5 * (warp(e2.by) - e1.by) + a12 * dx + a22 * dy
+    return np.stack([
+        a11 * a11 + a12 * a12,
+        a12 * (a11 + a22),
+        a12 * a12 + a22 * a22,
+        a11 * db1 + a12 * db2,
+        a12 * db1 + a22 * db2,
+    ])
 
 
 def _update_flow(e1: PolyExpansion, e2: PolyExpansion, dx, dy, window: int):
-    h, w = dx.shape
-    rows, cols = np.meshgrid(np.arange(h, dtype=np.float64),
-                             np.arange(w, dtype=np.float64), indexing="ij")
-    rr, cc = rows + dy, cols + dx
-    a11 = 0.5 * (e1.a11 + _warp(e2.a11, rr, cc))
-    a12 = 0.5 * (e1.a12 + _warp(e2.a12, rr, cc))
-    a22 = 0.5 * (e1.a22 + _warp(e2.a22, rr, cc))
-    db1 = -0.5 * (_warp(e2.bx, rr, cc) - e1.bx) + a11 * dx + a12 * dy
-    db2 = -0.5 * (_warp(e2.by, rr, cc) - e1.by) + a12 * dx + a22 * dy
-
-    # Normal equations of min ||A d - db||^2, averaged over the window.
-    kernel = _gaussian_kernel(window)
-    m11 = _blur(a11 * a11 + a12 * a12, kernel)
-    m12 = _blur(a12 * (a11 + a22), kernel)
-    m22 = _blur(a12 * a12 + a22 * a22, kernel)
-    h1 = _blur(a11 * db1 + a12 * db2, kernel)
-    h2 = _blur(a12 * db1 + a22 * db2, kernel)
+    m11, m12, m22, h1, h2 = _blur(_normal_terms(e1, e2, dx, dy), _gaussian_kernel(window))
 
     half_gap = np.sqrt((m11 - m22) ** 2 + 4.0 * m12 * m12)
     lam_min = 0.5 * ((m11 + m22) - half_gap)
@@ -203,47 +195,49 @@ def _resize(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return ndimage.zoom(arr, factors, order=1, mode="nearest", grid_mode=True)
 
 
+def expand_pyramid(frame, params: FlowParams | None = None) -> list[PolyExpansion]:
+    """Polynomial expansion of every pyramid level of one frame, finest first.
+
+    Levels too small to hold the expansion window are dropped.  A frame's
+    pyramid can be passed to `estimate_flow` for each pair it belongs to,
+    so each frame is expanded once.
+    """
+    params = params or FlowParams()
+    img = _as_image(frame)
+    levels = [img]
+    sigma = np.sqrt(1.0 / params.pyramid_scale**2 - 1.0)
+    for _ in range(params.pyramid_levels - 1):
+        shape = (max(1, round(img.shape[0] * params.pyramid_scale)),
+                 max(1, round(img.shape[1] * params.pyramid_scale)))
+        if min(shape) < params.poly_n:
+            break
+        img = _resize(ndimage.gaussian_filter(img, sigma, mode="nearest"), shape)
+        levels.append(img)
+    return [poly_expand(level, params.poly_n, params.poly_sigma) for level in levels]
+
+
 def estimate_flow(prev, nxt, params: FlowParams | None = None,
                   seed: FlowField | None = None) -> FlowField:
     """Dense displacement from `prev` to `nxt`, coarse-to-fine.
 
-    Ill-conditioned pixels keep the seed (or zero) displacement so the
-    field is always fully populated.
+    Each frame is an image or its `expand_pyramid` result, built with
+    the same params.  Ill-conditioned pixels keep the seed (or zero)
+    displacement so the field is always fully populated.
     """
     params = params or FlowParams()
-    img1, img2 = _as_image(prev), _as_image(nxt)
-    if img1.shape != img2.shape:
-        raise ValueError(f"frame shapes differ: {img1.shape} vs {img2.shape}")
+    pyr1, pyr2 = (frame if _is_pyramid(frame) else expand_pyramid(frame, params)
+                  for frame in (prev, nxt))
+    shapes1, shapes2 = ([e.c.shape for e in pyr] for pyr in (pyr1, pyr2))
+    if shapes1 != shapes2:
+        raise ValueError(f"frame shapes differ: {shapes1[0]} vs {shapes2[0]}")
 
-    # Pyramid, finest first; levels that cannot hold the expansion
-    # window are dropped.
-    pyr1, pyr2 = [img1], [img2]
-    sigma = np.sqrt(1.0 / params.pyramid_scale**2 - 1.0)
-    for _ in range(params.pyramid_levels - 1):
-        cur1, cur2 = pyr1[-1], pyr2[-1]
-        shape = (max(1, round(cur1.shape[0] * params.pyramid_scale)),
-                 max(1, round(cur1.shape[1] * params.pyramid_scale)))
-        if min(shape) < params.poly_n:
-            break
-        pyr1.append(_resize(ndimage.gaussian_filter(cur1, sigma, mode="nearest"), shape))
-        pyr2.append(_resize(ndimage.gaussian_filter(cur2, sigma, mode="nearest"), shape))
-
-    dx = dy = None
-    for level in reversed(range(len(pyr1))):
-        shape = pyr1[level].shape
-        if dx is None:
-            if seed is not None:
-                dx = _resize(seed.dx, shape) * (shape[1] / seed.dx.shape[1])
-                dy = _resize(seed.dy, shape) * (shape[0] / seed.dx.shape[0])
-            else:
-                dx = np.zeros(shape)
-                dy = np.zeros(shape)
-        else:
-            prev_shape = dx.shape
-            dx = _resize(dx, shape) * (shape[1] / prev_shape[1])
-            dy = _resize(dy, shape) * (shape[0] / prev_shape[0])
-        e1 = poly_expand(pyr1[level], params.poly_n, params.poly_sigma)
-        e2 = poly_expand(pyr2[level], params.poly_n, params.poly_sigma)
+    if seed is None:
+        seed = FlowField.zeros(pyr1[-1].c.shape[1], pyr1[-1].c.shape[0])
+    dx, dy = seed.dx, seed.dy
+    for e1, e2 in zip(reversed(pyr1), reversed(pyr2)):
+        shape = e1.c.shape
+        scale_x, scale_y = shape[1] / dx.shape[1], shape[0] / dx.shape[0]
+        dx, dy = _resize(dx, shape) * scale_x, _resize(dy, shape) * scale_y
         for _ in range(params.iterations):
             dx, dy = _update_flow(e1, e2, dx, dy, params.window)
     return FlowField(dx, dy)
@@ -278,21 +272,4 @@ def mask_worker_regions(flow: FlowField, patient: BoundingBox,
         if span is not None:
             dx[span] = 0.0
             dy[span] = 0.0
-    return FlowField(dx, dy)
-
-
-def write_flow_file(flow: FlowField, path) -> None:
-    """Debug dump: u32 width, u32 height, then dx and dy as f32, all LE."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", flow.width, flow.height))
-        fh.write(flow.dx.astype("<f4").tobytes())
-        fh.write(flow.dy.astype("<f4").tobytes())
-
-
-def read_flow_file(path) -> FlowField:
-    with open(path, "rb") as fh:
-        w, h = struct.unpack("<II", fh.read(8))
-        count = w * h
-        dx = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(h, w)
-        dy = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(h, w)
     return FlowField(dx, dy)

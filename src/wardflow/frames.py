@@ -196,8 +196,11 @@ def load_manifest(path) -> SequenceManifest:
         raise FormatError(f"bad frame entry in manifest: {exc}") from exc
     resolution = None
     if doc.get("resolution") is not None:
-        w, h = doc["resolution"]
-        resolution = (int(w), int(h))
+        try:
+            w, h = doc["resolution"]
+            resolution = (int(w), int(h))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"manifest resolution must be [width, height]: {exc}") from exc
     return SequenceManifest(frames, float(doc.get("dt", 1.0)), resolution)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from .analytics import (MotionSample, RikerRecord, SessionReport, align_riker,
                         count_workers, interaction_time, motion_step)
 from .boxes import FrameDetections
-from .flow import FlowParams, estimate_flow
+from .flow import FlowParams, estimate_flow, expand_pyramid
 from .frames import ThermalFrame, auto_window, normalize_to_gray
 
 
@@ -54,7 +54,10 @@ def analyze_session(frames: list[ThermalFrame], dets: list[FrameDetections],
 
     The motion recurrence is sequential over frames: flow between
     consecutive normalized frames, masked to the current patient box
-    with worker overlaps zeroed, relaxed with factor alpha.
+    with worker overlaps zeroed, relaxed with factor alpha.  Flow runs
+    only for pairs whose current frame has a patient, since every other
+    sample is a gap, and each frame is expanded once for the pairs it
+    belongs to.
     """
     config = config or SessionConfig()
     per_frame = match_detections(frames, dets)
@@ -65,16 +68,28 @@ def analyze_session(frames: list[ThermalFrame], dets: list[FrameDetections],
     motion: list[MotionSample] = []
     gaps = list(summary.missing_patient_times)
     if compute_motion and len(frames) >= 2:
+        if min(frames[0].temps.shape) < config.flow.poly_n:
+            raise ValueError(f"frames of shape {frames[0].temps.shape} are smaller than "
+                             f"the expansion window {config.flow.poly_n}")
         window = config.contrast_window or auto_window(frames[0])
-        grays = [normalize_to_gray(f, *window) for f in frames]
+
+        def pyramid(frame):
+            return expand_pyramid(normalize_to_gray(frame, *window), config.flow)
+
         prev_motion = 0.0
+        prev_pyr = None  # pyramid of frames[k - 1], when already built
         for k in range(1, len(frames)):
-            flow = estimate_flow(grays[k - 1], grays[k], config.flow)
             fd = per_frame[k]
             patient = fd.best_patient(config.conf_min)
             if patient is None:
                 sample = MotionSample(fd.timestamp, 0.0, prev_motion, gap=True)
+                prev_pyr = None
             else:
+                if prev_pyr is None:
+                    prev_pyr = pyramid(frames[k - 1])
+                cur_pyr = pyramid(frames[k])
+                flow = estimate_flow(prev_pyr, cur_pyr, config.flow)
+                prev_pyr = cur_pyr
                 workers = [d.box for d in fd.workers(config.conf_min)]
                 sample = motion_step(prev_motion, flow, patient.box, workers,
                                      config.alpha, timestamp=fd.timestamp)

@@ -120,6 +120,36 @@ class TestAnalyze:
         assert main(["analyze", "--manifest", str(session / "manifest.json"),
                      "--dets", str(bad), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("line", ['{"t": 0, "dets": 5}', '{"t": 0, "dets": [5]}'])
+    def test_malformed_dets_entries_exit_3(self, session, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                     "--dets", str(bad), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("resolution", [5, ["a", "b"], [None, None], [64, 64, 1]])
+    def test_malformed_manifest_resolution_exit_3(self, session, tmp_path, resolution):
+        doc = json.loads((session / "manifest.json").read_text())
+        doc["resolution"] = resolution
+        manifest = session / "bad_manifest.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["analyze", "--manifest", str(manifest), "--dets",
+                     str(session / "truth_dets.jsonl"), "--out", str(tmp_path / "o")]) == 3
+
+    def test_frames_below_expansion_window_exit_4_without_patient(self, tmp_path):
+        # no pair needs flow here, but motion on frames this small is still a
+        # configuration error
+        scenario = {"duration": 3, "resolution": [4, 4], "noise_sigma_c": 0.0,
+                    "patient": {"keyframes": [{"t": 0, "box": [1, 1, 2, 2]}]}}
+        scenario_path = tmp_path / "tiny.json"
+        scenario_path.write_text(json.dumps(scenario))
+        session = tmp_path / "tiny"
+        assert main(["synth", "--scenario", str(scenario_path), "--out", str(session)]) == 0
+        dets = tmp_path / "no_patient.jsonl"
+        dets.write_text("".join(f'{{"t": {t}, "dets": []}}\n' for t in range(3)))
+        assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                     "--dets", str(dets), "--out", str(tmp_path / "o")]) == 4
+
     def test_bad_config_exit_4(self, session, tmp_path):
         assert run_analyze(session, tmp_path / "o", ["--alpha", "1.5"]) == 4
         assert run_analyze(session, tmp_path / "o", ["--tau", "-1"]) == 4

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from oracles import polyfit_neighborhood, raster_mask
+from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
 from wardflow.boxes import BoundingBox
-from wardflow.flow import (FlowField, FlowParams, estimate_flow,
-                           magnitude_stats, mask_worker_regions, poly_expand,
-                           read_flow_file, write_flow_file)
+from wardflow.flow import (FlowField, FlowParams, estimate_flow, expand_pyramid,
+                           magnitude_stats, mask_worker_regions, poly_expand)
 
 
 def smooth_texture(seed, shape=(64, 64), sigma=3.0):
@@ -28,8 +27,8 @@ def shifted_pair(seed, shift, size=64, margin=8):
 class TestPolyExpand:
     def test_constant_image(self):
         e = poly_expand(np.full((16, 16), 42.0))
-        assert np.abs(e.A).max() < 1e-9
-        assert np.abs(e.b).max() < 1e-9
+        for coef in (e.a11, e.a12, e.a22, e.bx, e.by):
+            assert np.abs(coef).max() < 1e-9
         assert np.abs(e.c - 42.0).max() < 1e-9
 
     def test_linear_ramp(self):
@@ -103,6 +102,49 @@ class TestEstimateFlow:
             FlowParams(poly_n=6)
         with pytest.raises(ValueError):
             FlowParams(iterations=0)
+
+
+class TestPyramidReuse:
+    """Expanding each frame once must not change a single bit of the flow."""
+
+    PARAMS = [FlowParams(), FlowParams(pyramid_levels=4, window=7, iterations=2,
+                                       poly_n=7, poly_sigma=1.5)]
+
+    @pytest.mark.parametrize("shape", [(64, 64), (18, 23), (9, 40)])
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_pyramids_match_images_and_per_pair_reference(self, shape, params):
+        # (18, 23) and (9, 40) drop pyramid levels that cannot hold poly_n
+        rng = np.random.default_rng(11)
+        a = smooth_texture(12, shape=shape, sigma=2.0)
+        b = np.roll(a, (1, 2), axis=(0, 1)) + rng.normal(size=shape)
+        ref_dx, ref_dy = flow_per_pair(a, b, params)
+        from_images = estimate_flow(a, b, params)
+        from_pyramids = estimate_flow(expand_pyramid(a, params),
+                                      expand_pyramid(b, params), params)
+        for flow in (from_images, from_pyramids):
+            assert np.array_equal(flow.dx, ref_dx)
+            assert np.array_equal(flow.dy, ref_dy)
+
+    def test_level_dropping(self):
+        assert len(expand_pyramid(np.zeros((64, 64)))) == 3
+        assert len(expand_pyramid(np.zeros((18, 23)))) == 2
+        assert len(expand_pyramid(np.zeros((9, 40)))) == 1
+
+    def test_seed_with_mixed_inputs(self):
+        rng = np.random.default_rng(13)
+        img, moved = shifted_pair(5, (2, -1))
+        seed = FlowField(rng.normal(size=(5, 6)), rng.normal(size=(5, 6)))
+        ref_dx, ref_dy = flow_per_pair(img, moved, FlowParams(), seed)
+        flow = estimate_flow(expand_pyramid(img), moved, FlowParams(), seed)
+        assert np.array_equal(flow.dx, ref_dx)
+        assert np.array_equal(flow.dy, ref_dy)
+
+    def test_pyramid_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_flow(expand_pyramid(np.zeros((32, 32))),
+                          expand_pyramid(np.zeros((32, 33))))
+        with pytest.raises(ValueError):
+            estimate_flow(expand_pyramid(np.zeros((32, 32))), np.zeros((33, 32)))
 
 
 class TestMagnitudeStats:
@@ -183,14 +225,3 @@ class TestMaskWorkerRegions:
         twice = mask_worker_regions(once, patient, workers)
         assert np.array_equal(once.dx, twice.dx)
         assert np.all(once.magnitude() <= flow.magnitude() + 1e-15)
-
-
-def test_flow_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    flow = FlowField(rng.normal(size=(6, 9)).astype(np.float32),
-                     rng.normal(size=(6, 9)).astype(np.float32))
-    write_flow_file(flow, tmp_path / "f.flow")
-    again = read_flow_file(tmp_path / "f.flow")
-    assert (again.width, again.height) == (9, 6)
-    assert np.array_equal(again.dx, flow.dx)
-    assert np.array_equal(again.dy, flow.dy)

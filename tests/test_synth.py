@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from wardflow.boxes import BoundingBox
+import wardflow.flow
+import wardflow.pipeline
+from wardflow.analytics import motion_step
+from wardflow.boxes import BoundingBox, FrameDetections
 from wardflow.detect import blob_detect
 from wardflow.evaluation import counting_accuracy
-from wardflow.frames import write_npy_frame
+from wardflow.flow import estimate_flow
+from wardflow.frames import auto_window, normalize_to_gray, write_npy_frame
 from wardflow.pipeline import SessionConfig, analyze_session
 from wardflow.synth import (ActorScript, Keyframe, Scenario, export_session,
                             render, scenario_from_dict)
@@ -141,6 +145,59 @@ class TestClosedLoop:
                      if d.cls.value == "worker"])
                 for f in frames]
         assert counting_accuracy(pred, truth.worker_counts) >= 0.95
+
+
+class TestMotionEngine:
+    GAPS = {3, 4, 8}  # seconds whose detections lose the patient
+
+    def make_session(self):
+        keyframes = [Keyframe(float(t), BoundingBox(12.0 + 2 * (t % 3), 10, 20, 26))
+                     for t in range(10)]
+        worker = ActorScript([Keyframe(0.0, BoundingBox(28, 8, 14, 30))],
+                             enter=5.0, exit=9.0)
+        scenario = Scenario(duration=10, patient=ActorScript(keyframes),
+                            workers=[worker], resolution=(64, 48), noise_sigma_c=0.2)
+        frames, truth = render(scenario, seed=4)
+        dets = [FrameDetections(fd.timestamp,
+                                fd.workers(0.5) if k in self.GAPS else fd.detections)
+                for k, fd in enumerate(truth.frames)]
+        return frames, dets
+
+    def test_skips_gap_pairs_and_expands_each_frame_once(self, monkeypatch):
+        frames, dets = self.make_session()
+        config = SessionConfig()
+        window = auto_window(frames[0])
+        grays = [normalize_to_gray(f, *window) for f in frames]
+        expected = {}
+        for k in range(1, len(frames)):
+            if k not in self.GAPS:
+                flow = estimate_flow(grays[k - 1], grays[k], config.flow)
+                workers = [d.box for d in dets[k].workers(config.conf_min)]
+                patient = dets[k].best_patient(config.conf_min).box
+                expected[k] = motion_step(0.0, flow, patient, workers, config.alpha).raw
+
+        calls = {"flow": 0, "expand": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(wardflow.pipeline, "estimate_flow",
+                            counted("flow", wardflow.pipeline.estimate_flow))
+        monkeypatch.setattr(wardflow.flow, "poly_expand",
+                            counted("expand", wardflow.flow.poly_expand))
+        report = analyze_session(frames, dets, config)
+
+        assert [s.gap for s in report.motion] == [k in self.GAPS for k in range(1, 10)]
+        for k, sample in enumerate(report.motion, start=1):
+            if not sample.gap:
+                assert sample.raw == expected[k]
+        assert calls["flow"] == len(expected)
+        frames_used = {j for k in expected for j in (k - 1, k)}
+        assert len(frames_used) == 9  # frame 3 sits between two gap pairs
+        assert calls["expand"] == config.flow.pyramid_levels * len(frames_used)
 
 
 def test_export_session(tmp_path):
