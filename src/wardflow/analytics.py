@@ -145,7 +145,15 @@ def motion_step(prev_motion: float, flow: FlowField, patient: BoundingBox,
     region[span] = True
     mean, std = magnitude_stats(masked, region)
     raw = mean + std
-    return MotionSample(timestamp, raw, alpha * raw + (1.0 - alpha) * prev_motion)
+    return relax(prev_motion, MotionSample(timestamp, raw, raw), alpha)
+
+
+def relax(prev_motion: float, sample: MotionSample, alpha: float) -> MotionSample:
+    """The relaxation alone: alpha*raw + (1-alpha)*prev; a gap keeps prev."""
+    if sample.gap:
+        return MotionSample(sample.timestamp, 0.0, prev_motion, gap=True)
+    return MotionSample(sample.timestamp, sample.raw,
+                        alpha * sample.raw + (1.0 - alpha) * prev_motion)
 
 
 def align_riker(motion: list[MotionSample], records: list[RikerRecord],

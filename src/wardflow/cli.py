@@ -7,9 +7,11 @@ unreadable files, 3 schema/format errors, 4 bad configuration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .analytics import read_riker_csv, report_to_dict
@@ -19,8 +21,8 @@ from .errors import FormatError, UnsupportedError, ValidationError
 from .evaluation import (DEFAULT_IOU_THRESHOLDS, counting_accuracy,
                          format_duration, mean_ap, time_error)
 from .flow import FlowParams
-from .frames import load_manifest, load_sequence
-from .pipeline import SessionConfig, analyze_session, match_detections
+from .frames import ThermalFrame, load_manifest, load_sequence
+from .pipeline import SessionConfig, analyze_session
 from .svgplot import Panel, Series, render_chart
 from .synth import export_session, load_scenario, render
 
@@ -61,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use the naive thermal blob detector")
     p_an.add_argument("--tau", type=float, default=0.1)
     p_an.add_argument("--alpha", type=float, default=0.7)
-    p_an.add_argument("--dt", type=float, default=1.0)
     p_an.add_argument("--conf-min", type=float, default=0.5)
     p_an.add_argument("--riker", help="riker CSV file (t,score)")
     p_an.add_argument("--riker-window", type=float, default=300.0)
@@ -98,33 +99,39 @@ def _load_detections_file(path) -> list[FrameDetections]:
         return parse_detections_jsonl(fh)
 
 
+def _peek_resolution(frames: Iterator[ThermalFrame]):
+    """The first frame's (width, height), or None, and the unconsumed stream."""
+    first = next(frames, None)
+    if first is None:
+        return None, frames
+    return (first.width, first.height), itertools.chain([first], frames)
+
+
 def _cmd_analyze(args) -> int:
     contrast = None
     if args.window:
         lo, hi = (float(v) for v in args.window.split(","))
         contrast = (lo, hi)
-    config = SessionConfig(tau=args.tau, alpha=args.alpha, dt=args.dt,
+    manifest_path = Path(args.manifest)
+    manifest = load_manifest(manifest_path)
+    config = SessionConfig(tau=args.tau, alpha=args.alpha, dt=manifest.dt,
                            conf_min=args.conf_min, flow=FlowParams(),
                            riker_window=args.riker_window,
                            contrast_window=contrast)
     bed = _parse_box(args.bed) if args.bed else None
 
-    manifest_path = Path(args.manifest)
-    manifest = load_manifest(manifest_path)
     frames = load_sequence(manifest, manifest_path.parent)
     if args.dets:
-        resolution = (frames[0].width, frames[0].height) if frames else None
+        resolution, frames = _peek_resolution(frames)
         with open(args.dets) as fh:
             dets = parse_detections_jsonl(fh, resolution)
     else:
-        dets = [FrameDetections(f.timestamp,
-                                blob_detect(f, args.blob_min_temp,
-                                            args.blob_min_area, bed))
-                for f in frames]
+        def dets(frame):
+            return blob_detect(frame, args.blob_min_temp, args.blob_min_area, bed)
     riker = read_riker_csv(Path(args.riker).read_text()) if args.riker else None
 
     report = analyze_session(frames, dets, config, riker,
-                             compute_motion=not args.no_motion)
+                             compute_motion=not args.no_motion, timeline=manifest.frames)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,7 +149,7 @@ def _cmd_analyze(args) -> int:
     ]
     _write_atomic(out / "events.csv", "\n".join(event_rows) + "\n")
 
-    ts = [f.timestamp for f in frames]
+    ts = [e.timestamp for e in manifest.frames]
     event_times = {e.timestamp for e in report.events}
     pi_series = [1 if t in event_times else 0 for t in ts]
     panels = [

@@ -26,13 +26,16 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
     Line schema: {"t": seconds, "dets": [{"cls": "patient"|"worker",
     "conf": r, "box": [x, y, w, h]}, ...]}.  "conf" defaults to 1.0 so
     ground-truth files can reuse the format.  When a (width, height)
-    resolution is given, boxes are clamped to the frame.
+    resolution is given, boxes are clamped to the frame.  Two lines with
+    the same timestamp (to the microsecond the timestamp joins match on)
+    are rejected.
     """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = source
     frames = []
+    first_line = {}  # timestamp key -> line that used it
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -47,8 +50,12 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
             t = float(obj["t"])
         except (TypeError, ValueError):
             raise FormatError(f"bad timestamp {obj['t']!r}", line=lineno) from None
-        if t < 0:
-            raise FormatError(f"negative timestamp {t}", line=lineno)
+        if not (math.isfinite(t) and t >= 0):
+            raise FormatError(f"timestamp must be finite and non-negative, got {t}",
+                              line=lineno)
+        seen = first_line.setdefault(round(t / 1e-6), lineno)
+        if seen != lineno:
+            raise FormatError(f"timestamp {t} repeats line {seen}", line=lineno)
         if not isinstance(obj["dets"], list):
             raise FormatError(f"'dets' must be a list, got {obj['dets']!r}", line=lineno)
         dets = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import json
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,9 +56,6 @@ class ThermalFrame:
     @property
     def height(self) -> int:
         return self.temps.shape[0]
-
-    def with_timestamp(self, t: float) -> "ThermalFrame":
-        return ThermalFrame(self.temps, t)
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def auto_window(frame: ThermalFrame) -> tuple[float, float]:
 @dataclass
 class FrameEntry:
     path: str
-    t: float
+    timestamp: float
 
 
 @dataclass
@@ -177,7 +175,7 @@ class SequenceManifest:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
-        times = [f.t for f in self.frames]
+        times = [f.timestamp for f in self.frames]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError("frame timestamps must be strictly increasing")
 
@@ -207,23 +205,28 @@ def load_manifest(path) -> SequenceManifest:
 def save_manifest(manifest: SequenceManifest, path) -> None:
     doc = {
         "dt": manifest.dt,
-        "frames": [{"path": f.path, "t": f.t} for f in manifest.frames],
+        "frames": [{"path": f.path, "t": f.timestamp} for f in manifest.frames],
     }
     if manifest.resolution is not None:
         doc["resolution"] = list(manifest.resolution)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_sequence(manifest: SequenceManifest, base_dir) -> list[ThermalFrame]:
-    """Read every frame in the manifest; all must share one resolution."""
+def load_sequence(manifest: SequenceManifest, base_dir) -> Iterator[ThermalFrame]:
+    """Read the manifest's frames one at a time, in order, as they are consumed.
+
+    Every frame must have the manifest's declared resolution or, when it
+    declares none, the first frame's.
+    """
     base = Path(base_dir)
-    frames = []
+    expected = manifest.resolution
     for entry in manifest.frames:
-        frame = read_npy_frame((base / entry.path).read_bytes(), entry.t)
-        if frames and (frame.width, frame.height) != (frames[0].width, frames[0].height):
-            raise ValidationError(
-                f"{entry.path}: resolution {frame.width}x{frame.height} differs "
-                f"from first frame {frames[0].width}x{frames[0].height}"
-            )
-        frames.append(frame)
-    return frames
+        frame = read_npy_frame((base / entry.path).read_bytes(), entry.timestamp)
+        size = (frame.width, frame.height)
+        if expected is None:
+            expected = size
+        elif size != expected:
+            source = "manifest" if manifest.resolution is not None else "first frame"
+            raise ValidationError(f"{entry.path}: resolution {size[0]}x{size[1]} differs "
+                                  f"from {source} {expected[0]}x{expected[1]}")
+        yield frame

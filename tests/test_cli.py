@@ -1,8 +1,16 @@
 import json
+import os
+import threading
+import tracemalloc
+from collections import Counter
 
 import pytest
 
+import wardflow.frames
 from wardflow.cli import main
+from wardflow.detect import parse_detections_jsonl
+from wardflow.frames import load_manifest, load_sequence
+from wardflow.pipeline import SessionConfig, analyze_session
 
 SCENARIO = {
     "duration": 8,
@@ -120,14 +128,16 @@ class TestAnalyze:
         assert main(["analyze", "--manifest", str(session / "manifest.json"),
                      "--dets", str(bad), "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("line", ['{"t": 0, "dets": 5}', '{"t": 0, "dets": [5]}'])
+    @pytest.mark.parametrize("line", ['{"t": 0, "dets": 5}', '{"t": 0, "dets": [5]}',
+                                      '{"t": 0, "dets": []}\n{"t": 0, "dets": []}'])
     def test_malformed_dets_entries_exit_3(self, session, tmp_path, line):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(line + "\n")
         assert main(["analyze", "--manifest", str(session / "manifest.json"),
                      "--dets", str(bad), "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("resolution", [5, ["a", "b"], [None, None], [64, 64, 1]])
+    @pytest.mark.parametrize("resolution", [5, ["a", "b"], [None, None], [64, 64, 1],
+                                            [64, 63]])
     def test_malformed_manifest_resolution_exit_3(self, session, tmp_path, resolution):
         doc = json.loads((session / "manifest.json").read_text())
         doc["resolution"] = resolution
@@ -150,9 +160,108 @@ class TestAnalyze:
         assert main(["analyze", "--manifest", str(session / "manifest.json"),
                      "--dets", str(dets), "--out", str(tmp_path / "o")]) == 4
 
+    def test_manifest_dt_scales_times(self, tmp_path):
+        scenario = dict(SCENARIO, duration=4, workers=[
+            {"keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}])
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(scenario))
+        session = tmp_path / "session"
+        assert main(["synth", "--scenario", str(scenario_path), "--out", str(session)]) == 0
+        doc = json.loads((session / "manifest.json").read_text())
+        doc["dt"] = 0.5
+        (session / "manifest.json").write_text(json.dumps(doc))
+        assert run_analyze(session, tmp_path / "o", ["--no-motion"]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["per_second_worker_counts"] == [1, 1, 1, 1]
+        assert report["nursing_time_s"] == 2.0
+        assert report["interaction_time_s"] == 2.0
+
     def test_bad_config_exit_4(self, session, tmp_path):
         assert run_analyze(session, tmp_path / "o", ["--alpha", "1.5"]) == 4
         assert run_analyze(session, tmp_path / "o", ["--tau", "-1"]) == 4
+
+
+def small_session(tmp_path, frames, absent=()):
+    """A session of `frames` seconds at 64x48 whose detections drop the
+    patient in the `absent` seconds."""
+    scenario = {"duration": frames, "resolution": [64, 48], "noise_sigma_c": 0.2,
+                "patient": {"keyframes": [{"t": 0, "box": [10, 10, 20, 26]},
+                                          {"t": frames, "box": [16, 12, 20, 26]}]},
+                "workers": [{"enter": 2, "keyframes": [{"t": 0, "box": [26, 8, 14, 30]}]}]}
+    scenario_path = tmp_path / f"scenario{frames}.json"
+    scenario_path.write_text(json.dumps(scenario))
+    session = tmp_path / f"session{frames}"
+    assert main(["synth", "--scenario", str(scenario_path), "--out", str(session)]) == 0
+    lines = []
+    for line in (session / "truth_dets.jsonl").read_text().splitlines():
+        obj = json.loads(line)
+        if obj["t"] in absent:
+            obj["dets"] = [d for d in obj["dets"] if d["cls"] != "patient"]
+        lines.append(json.dumps(obj))
+    (session / "dets.jsonl").write_text("\n".join(lines) + "\n")
+    return session
+
+
+class TestStreamingEngine:
+    def test_pool_size_does_not_change_outputs(self, tmp_path, monkeypatch):
+        session = small_session(tmp_path, 12, absent={0, 1, 5, 6, 11})
+        outputs = []
+        for size in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: size)
+            out = tmp_path / f"pool{size}"
+            assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                         "--dets", str(session / "dets.jsonl"), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("report.json", "motion.csv")])
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0][0])
+        assert report["gaps"] == [0.0, 1.0, 5.0, 6.0, 11.0]
+        assert sum(s["raw"] > 0 for s in report["motion"]) == 7
+
+    def test_peak_memory_flat_in_session_length(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        peaks = []
+        # The patient is away for most of the long session so the test stays
+        # quick; its frames are still read, and would pile up if held.
+        for frames, absent in ((60, ()), (600, range(60, 540))):
+            session = small_session(tmp_path, frames, absent=set(absent))
+            manifest = load_manifest(session / "manifest.json")
+            dets = parse_detections_jsonl((session / "dets.jsonl").read_text(), (64, 48))
+            tracemalloc.start()
+            try:
+                report = analyze_session(load_sequence(manifest, session), dets,
+                                         SessionConfig(), timeline=manifest.frames)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(report.motion) == frames - 1
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_truncated_frame_exits_3_and_stops_the_pool(self, tmp_path):
+        session = small_session(tmp_path, 40)
+        frame = session / "frame_00030.npy"
+        frame.write_bytes(frame.read_bytes()[:-100])
+        threads = threading.active_count()
+        out = tmp_path / "o"
+        assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                     "--dets", str(session / "dets.jsonl"), "--out", str(out)]) == 3
+        assert not (out / "report.json").exists()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("source", [["--dets", "dets.jsonl"], ["--blob", "--no-motion"]])
+    def test_each_frame_read_once(self, tmp_path, monkeypatch, source):
+        session = small_session(tmp_path, 10)
+        reads = Counter()
+        read = wardflow.frames.read_npy_frame
+
+        def counted(data, timestamp):
+            reads[timestamp] += 1
+            return read(data, timestamp)
+
+        monkeypatch.setattr(wardflow.frames, "read_npy_frame", counted)
+        argv = [str(session / a) if a.endswith(".jsonl") else a for a in source]
+        assert main(["analyze", "--manifest", str(session / "manifest.json"), *argv,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert reads == Counter(float(t) for t in range(10))
 
 
 class TestEval:

@@ -34,6 +34,19 @@ class TestParseDetectionsJsonl:
             parse_detections_jsonl('{"t":0,"dets":[]}\n{oops')
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("second", ["2", "2.0", "2.0000001"])
+    def test_repeated_timestamp_names_both_lines(self, second):
+        text = f'{{"t":2,"dets":[]}}\n{{"t":3,"dets":[]}}\n{{"t":{second},"dets":[]}}'
+        with pytest.raises(FormatError, match="repeats line 1") as err:
+            parse_detections_jsonl(text)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-1"])
+    def test_non_finite_or_negative_timestamp_rejected(self, t):
+        with pytest.raises(FormatError) as err:
+            parse_detections_jsonl(f'{{"t":{t},"dets":[]}}')
+        assert err.value.line == 1
+
     def test_sorted_by_timestamp(self):
         text = '{"t":2,"dets":[]}\n{"t":0,"dets":[]}\n{"t":1,"dets":[]}'
         frames = parse_detections_jsonl(text)

@@ -166,10 +166,10 @@ class TestManifest:
         (tmp_path / "b.npy").write_bytes(write_npy_frame(ThermalFrame(np.full((4, 5), 20.0))))
         manifest = SequenceManifest([FrameEntry("a.npy", 0.0), FrameEntry("b.npy", 1.0)])
         with pytest.raises(ValidationError):
-            load_sequence(manifest, tmp_path)
+            list(load_sequence(manifest, tmp_path))
 
     def test_load_sequence_applies_timestamps(self, tmp_path):
         (tmp_path / "a.npy").write_bytes(write_npy_frame(ThermalFrame(np.full((4, 4), 20.0))))
         manifest = SequenceManifest([FrameEntry("a.npy", 3.5)])
-        frames = load_sequence(manifest, tmp_path)
+        frames = list(load_sequence(manifest, tmp_path))
         assert frames[0].timestamp == 3.5
