@@ -8,8 +8,7 @@ relaxed patient-motion score, with detector-evaluation tooling
 
 from .analytics import (InteractionEvent, MotionSample, RikerRecord,
                         SessionReport, align_riker, count_workers,
-                        interaction_time, motion_step, nursing_time,
-                        physical_interaction)
+                        interaction_time, motion_step, physical_interaction)
 from .boxes import (BoundingBox, Detection, FrameDetections, ObjectClass,
                     area, intersection_area, iou)
 from .detect import blob_detect, parse_detections_jsonl
@@ -35,7 +34,7 @@ __all__ = [
     "blob_detect", "count_workers", "counting_accuracy", "estimate_flow",
     "format_duration", "interaction_time", "intersection_area", "iou",
     "magnitude_stats", "mask_worker_regions", "mean_ap", "motion_step",
-    "normalize_to_gray", "nursing_time", "parse_detections_jsonl",
+    "normalize_to_gray", "parse_detections_jsonl",
     "parse_duration", "physical_interaction", "poly_expand",
     "read_npy_frame", "render", "time_error", "write_npy_frame",
 ]

@@ -55,7 +55,7 @@ class RikerGroup:
 
 @dataclass
 class InteractionSummary:
-    seconds: float
+    indicators: list[int]  # 0/1 per frame
     events: list[InteractionEvent]
     missing_patient_times: list[float]
 
@@ -67,6 +67,7 @@ class SessionReport:
     events: list[InteractionEvent]
     motion: list[MotionSample]
     per_second_worker_counts: list[int]
+    per_second_interaction: list[int] = field(default_factory=list)  # not in report.json
     gaps: list[float] = field(default_factory=list)
     riker: list[RikerGroup] = field(default_factory=list)
 
@@ -78,14 +79,6 @@ def count_workers(frame_dets: FrameDetections, conf_min: float = 0.5) -> int:
     return len(frame_dets.workers(conf_min))
 
 
-def nursing_time(series: list[FrameDetections], dt: float = 1.0,
-                 conf_min: float = 0.5) -> float:
-    """Total worker-presence seconds: sum of per-frame counts times dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return sum(count_workers(f, conf_min) for f in series) * dt
-
-
 def physical_interaction(patient: BoundingBox, worker: BoundingBox,
                          tau: float = 0.1) -> tuple[int, float]:
     """Overlap fraction of the patient box, thresholded at tau (inclusive)."""
@@ -95,34 +88,31 @@ def physical_interaction(patient: BoundingBox, worker: BoundingBox,
     return (1 if ratio >= tau else 0), ratio
 
 
-def interaction_time(series: list[FrameDetections], dt: float = 1.0,
-                     tau: float = 0.1, conf_min: float = 0.5) -> InteractionSummary:
-    """Seconds with at least one patient/worker overlap above tau.
+def interaction_time(series: list[FrameDetections], tau: float = 0.1,
+                     conf_min: float = 0.5) -> InteractionSummary:
+    """Per-frame indicator of a patient/worker overlap above tau.
 
-    A frame is binary regardless of worker count; every satisfying pair
-    becomes an event.  Frames without a patient contribute nothing and
-    are reported as gaps.
+    A frame flags 1 regardless of worker count; every satisfying pair
+    becomes an event.  Frames without a patient flag 0 and are reported
+    as gaps.  Interaction seconds are the flagged frames times dt.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    seconds = 0.0
+    indicators: list[int] = []
     events: list[InteractionEvent] = []
     missing: list[float] = []
     for frame in series:
         patient = frame.best_patient(conf_min)
         if patient is None:
             missing.append(frame.timestamp)
+            indicators.append(0)
             continue
-        hit = False
+        before = len(events)
         for worker in frame.workers(conf_min):
             indicator, ratio = physical_interaction(patient.box, worker.box, tau)
             if indicator:
-                hit = True
                 events.append(InteractionEvent(frame.timestamp, patient.box,
                                                worker.box, ratio))
-        if hit:
-            seconds += dt
-    return InteractionSummary(seconds, events, missing)
+        indicators.append(int(len(events) > before))
+    return InteractionSummary(indicators, events, missing)
 
 
 def motion_step(prev_motion: float, flow: FlowField, patient: BoundingBox,

@@ -7,6 +7,8 @@ y grows downward, coordinates are real-valued pixels.
 from __future__ import annotations
 
 import math
+import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -126,3 +128,22 @@ class FrameDetections:
         if not patients:
             return None
         return max(patients, key=lambda d: d.confidence)
+
+
+def time_key(t: float) -> int:
+    """A timestamp to the microsecond: the key every timestamp join matches on."""
+    return round(t / 1e-6)
+
+
+def match_detections(timeline: Sequence, dets: list[FrameDetections]) -> list[FrameDetections]:
+    """Pair each timeline item (anything with a `.timestamp`) with the
+    detections of the same time key; missing -> empty.  Detection frames
+    the join leaves out are warned about."""
+    by_key = {time_key(d.timestamp): d for d in dets}
+    joined = [by_key.get(time_key(f.timestamp), FrameDetections(f.timestamp)) for f in timeline]
+    used = {id(fd) for fd in joined}
+    orphans = [d.timestamp for d in dets if id(d) not in used]
+    if orphans:
+        warnings.warn(f"{len(orphans)} detection frames match no frame time, "
+                      f"the first at t={orphans[0]}")
+    return joined

@@ -14,8 +14,8 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .analytics import read_riker_csv, report_to_dict
-from .boxes import BoundingBox, FrameDetections
+from .analytics import count_workers, interaction_time, read_riker_csv, report_to_dict
+from .boxes import BoundingBox, FrameDetections, match_detections
 from .detect import blob_detect, parse_detections_jsonl
 from .errors import FormatError, UnsupportedError, ValidationError
 from .evaluation import (DEFAULT_IOU_THRESHOLDS, counting_accuracy,
@@ -150,14 +150,13 @@ def _cmd_analyze(args) -> int:
     _write_atomic(out / "events.csv", "\n".join(event_rows) + "\n")
 
     ts = [e.timestamp for e in manifest.frames]
-    event_times = {e.timestamp for e in report.events}
-    pi_series = [1 if t in event_times else 0 for t in ts]
     panels = [
         Panel("Workers per second",
               [Series("workers", ts, [float(c) for c in report.per_second_worker_counts],
                       step=True)], x_label="time (s)"),
         Panel("Physical interaction per second",
-              [Series("interaction", ts, [float(v) for v in pi_series], step=True)],
+              [Series("interaction", ts, [float(v) for v in report.per_second_interaction],
+                      step=True)],
               x_label="time (s)"),
     ]
     _write_atomic(out / "activity.svg", render_chart(panels))
@@ -174,22 +173,12 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _per_second_series(frames: list[FrameDetections], timeline: list[float],
+def _per_second_series(frames: list[FrameDetections], timeline: list[FrameDetections],
                        conf_min: float, tau: float) -> tuple[list[int], list[int]]:
-    """Worker counts and interaction indicators on a fixed timeline."""
-    from .analytics import count_workers, physical_interaction
-    by_t = {round(f.timestamp / 1e-6): f for f in frames}
-    counts, pis = [], []
-    for t in timeline:
-        frame = by_t.get(round(t / 1e-6), FrameDetections(t))
-        counts.append(count_workers(frame, conf_min))
-        patient = frame.best_patient(conf_min)
-        pi = 0
-        if patient is not None:
-            pi = int(any(physical_interaction(patient.box, w.box, tau)[0]
-                         for w in frame.workers(conf_min)))
-        pis.append(pi)
-    return counts, pis
+    """Worker counts and interaction indicators of `frames` joined to `timeline`."""
+    joined = match_detections(timeline, frames)
+    return ([count_workers(f, conf_min) for f in joined],
+            interaction_time(joined, tau, conf_min).indicators)
 
 
 def _cmd_eval(args) -> int:
@@ -200,9 +189,8 @@ def _cmd_eval(args) -> int:
     gts = _load_detections_file(args.gt)
 
     table = mean_ap(dets, gts, thresholds)
-    timeline = [f.timestamp for f in gts]
-    pred_counts, pred_pi = _per_second_series(dets, timeline, args.conf_min, args.tau)
-    label_counts, label_pi = _per_second_series(gts, timeline, args.conf_min, args.tau)
+    pred_counts, pred_pi = _per_second_series(dets, gts, args.conf_min, args.tau)
+    label_counts, label_pi = _per_second_series(gts, gts, args.conf_min, args.tau)
     worker_acc = counting_accuracy(pred_counts, label_counts)
     pi_acc = counting_accuracy(pred_pi, label_pi)
     pred_nursing = sum(pred_counts) * args.dt

@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .boxes import BoundingBox, Detection, FrameDetections, ObjectClass
+from .boxes import BoundingBox, Detection, FrameDetections, ObjectClass, time_key
 from .errors import FormatError
 from .frames import ThermalFrame
 
@@ -53,7 +53,7 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
         if not (math.isfinite(t) and t >= 0):
             raise FormatError(f"timestamp must be finite and non-negative, got {t}",
                               line=lineno)
-        seen = first_line.setdefault(round(t / 1e-6), lineno)
+        seen = first_line.setdefault(time_key(t), lineno)
         if seen != lineno:
             raise FormatError(f"timestamp {t} repeats line {seen}", line=lineno)
         if not isinstance(obj["dets"], list):

@@ -9,7 +9,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .boxes import FrameDetections, ObjectClass, iou
+from .boxes import FrameDetections, ObjectClass, iou, match_detections
 
 DEFAULT_IOU_THRESHOLDS = (0.5, 0.7, 0.9)
 
@@ -32,17 +32,6 @@ class APTable:
     overall: float | None
 
 
-def _pair_frames(dets: list[FrameDetections], gts: list[FrameDetections],
-                 tol: float = 1e-6):
-    """Match detection frames to ground-truth frames by timestamp."""
-    det_by_t = {round(f.timestamp / tol): f for f in dets}
-    pairs = []
-    for gt in gts:
-        pred = det_by_t.get(round(gt.timestamp / tol))
-        pairs.append((pred.detections if pred else [], gt.detections))
-    return pairs
-
-
 def average_precision(dets: list[FrameDetections], gts: list[FrameDetections],
                       cls: ObjectClass, iou_thresh: float) -> APResult:
     """All-points-interpolated AP for one class at one IoU threshold.
@@ -54,14 +43,13 @@ def average_precision(dets: list[FrameDetections], gts: list[FrameDetections],
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError("iou_thresh must be in (0, 1)")
-    pairs = _pair_frames(dets, gts)
     ranked = []  # (conf, frame_idx, box), stable under sort
     gt_boxes = []
-    for fi, (pred, truth) in enumerate(pairs):
-        for d in pred:
+    for fi, (pred, truth) in enumerate(zip(match_detections(gts, dets), gts)):
+        for d in pred.detections:
             if d.cls == cls:
                 ranked.append((d.confidence, fi, d.box))
-        gt_boxes.append([g.box for g in truth if g.cls == cls])
+        gt_boxes.append([g.box for g in truth.detections if g.cls == cls])
     n_gt = sum(len(b) for b in gt_boxes)
     if n_gt == 0:
         return APResult(None, 0, [], [])

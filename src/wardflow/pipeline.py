@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .analytics import (MotionSample, RikerRecord, SessionReport, align_riker,
                         count_workers, interaction_time, motion_step, relax)
-from .boxes import Detection, FrameDetections
+from .boxes import Detection, FrameDetections, match_detections
 from .flow import FlowParams, PolyExpansion, estimate_flow, expand_pyramid
 from .frames import ThermalFrame, auto_window, normalize_to_gray
 
@@ -43,15 +43,6 @@ class SessionConfig:
             lo, hi = self.contrast_window
             if lo >= hi:
                 raise ValueError("contrast window needs lo < hi")
-
-
-def match_detections(frames: Sequence, dets: list[FrameDetections],
-                     tol: float = 1e-6) -> list[FrameDetections]:
-    """Pair each frame (anything with a `.timestamp`) with its detections
-    by timestamp; missing -> empty."""
-    by_t = {round(d.timestamp / tol): d for d in dets}
-    return [by_t.get(round(f.timestamp / tol), FrameDetections(f.timestamp))
-            for f in frames]
 
 
 def pair_motion(prev_pyr: list[PolyExpansion], cur_pyr: list[PolyExpansion],
@@ -158,17 +149,17 @@ def analyze_session(frames: Iterable[ThermalFrame], dets: list[FrameDetections] 
             pass
 
     counts = [count_workers(fd, config.conf_min) for fd in per_frame]
-    nursing = sum(counts) * config.dt
-    summary = interaction_time(per_frame, config.dt, config.tau, config.conf_min)
+    summary = interaction_time(per_frame, config.tau, config.conf_min)
     groups: list = []
     if riker:
         groups, _excluded = align_riker(motion, riker, config.riker_window)
     return SessionReport(
-        nursing_time_s=nursing,
-        interaction_time_s=summary.seconds,
+        nursing_time_s=sum(counts) * config.dt,
+        interaction_time_s=sum(summary.indicators) * config.dt,
         events=summary.events,
         motion=motion,
         per_second_worker_counts=counts,
+        per_second_interaction=summary.indicators,
         gaps=sorted(set(summary.missing_patient_times)),
         riker=groups,
     )

@@ -15,8 +15,9 @@ from wardflow.boxes import (BoundingBox, Detection, FrameDetections,
 from wardflow.cli import main
 from wardflow.evaluation import (average_precision, format_duration, mean_ap,
                                  parse_duration, time_error)
-from wardflow.analytics import motion_step, nursing_time, physical_interaction
+from wardflow.analytics import motion_step, physical_interaction
 from wardflow.flow import FlowField, estimate_flow, poly_expand
+from wardflow.pipeline import SessionConfig, analyze_session
 
 
 def _random_box(rng, grid=64):
@@ -66,6 +67,11 @@ def test_criterion_3_nursing_time_sum():
     worker = Detection(BoundingBox(0, 0, 10, 10), ObjectClass.WORKER, 0.9)
     counts = [int(rng.integers(0, 5)) for _ in range(200)]
     series = [FrameDetections(float(t), [worker] * m) for t, m in enumerate(counts)]
+
+    def nursing_time(series, dt=1.0):  # the series is its own timeline
+        return analyze_session(series, series, SessionConfig(dt=dt),
+                               compute_motion=False).nursing_time_s
+
     assert nursing_time(series, dt=1.0) == sum(counts)
     assert nursing_time(series, dt=2.5) == sum(counts) * 2.5
     total = nursing_time(series)

@@ -3,11 +3,12 @@ import pytest
 
 from wardflow.analytics import (MotionSample, RikerRecord, align_riker,
                                 count_workers, interaction_time, motion_step,
-                                nursing_time, physical_interaction,
-                                read_riker_csv, report_to_dict, SessionReport)
+                                physical_interaction, read_riker_csv,
+                                report_to_dict, SessionReport)
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass
 from wardflow.errors import FormatError
 from wardflow.flow import FlowField
+from wardflow.pipeline import SessionConfig, analyze_session
 
 
 def frame(t, workers=(), patients=()):
@@ -17,6 +18,15 @@ def frame(t, workers=(), patients=()):
 
 
 W = ((0, 0, 10, 10), 0.9)
+
+
+def session_report(series, dt=1.0):
+    """The session rule applied to a detection series that is its own timeline."""
+    return analyze_session(series, series, SessionConfig(dt=dt), compute_motion=False)
+
+
+def nursing(series, dt=1.0):
+    return session_report(series, dt).nursing_time_s
 
 
 class TestCountWorkers:
@@ -34,28 +44,28 @@ class TestNursingTime:
     def test_hand_sum(self):
         series = [frame(0, workers=[W]),
                   frame(1),
-                  frame(2, workers=[W, (((20, 0, 5, 5)), 0.8)])]
-        assert nursing_time(series, dt=1.0, conf_min=0.5) == 3.0
+                  frame(2, workers=[W, (((20, 0, 5, 5)), 0.8), ((30, 0, 5, 5), 0.4)])]
+        assert nursing(series, dt=1.0) == 3.0
 
     def test_empty(self):
-        assert nursing_time([], dt=1.0) == 0.0
+        assert nursing([], dt=1.0) == 0.0
 
     def test_uniform_minute(self):
         series = [frame(t, workers=[W]) for t in range(60)]
-        assert nursing_time(series, dt=1.0) == 60.0
+        assert nursing(series, dt=1.0) == 60.0
 
     def test_dt_scales(self):
         series = [frame(0, workers=[W])]
-        assert nursing_time(series, dt=0.5) == 0.5
+        assert nursing(series, dt=0.5) == 0.5
 
     def test_additive_over_concatenation(self):
         rng = np.random.default_rng(0)
         series = [frame(t, workers=[W] * int(rng.integers(0, 4)))
                   for t in range(50)]
-        total = nursing_time(series)
+        total = nursing(series)
         for _ in range(20):
             cut = int(rng.integers(0, len(series)))
-            assert nursing_time(series[:cut]) + nursing_time(series[cut:]) == total
+            assert nursing(series[:cut]) + nursing(series[cut:]) == total
 
 
 class TestPhysicalInteraction:
@@ -111,34 +121,42 @@ class TestInteractionTime:
                         workers=[self.TOUCHING if t < 4 else self.FAR])
                   for t in range(10)]
         summary = interaction_time(series)
-        assert summary.seconds == 4.0
+        assert summary.indicators == [1] * 4 + [0] * 6
         assert len(summary.events) == 4
+        assert session_report(series).interaction_time_s == 4.0
 
     def test_two_workers_one_second_two_events(self):
         series = [frame(0, patients=[self.PATIENT],
                         workers=[self.TOUCHING, ((0, 40, 50, 30), 0.8)])]
         summary = interaction_time(series)
-        assert summary.seconds == 1.0
+        assert summary.indicators == [1]
         assert len(summary.events) == 2
+        assert session_report(series).interaction_time_s == 1.0
 
     def test_no_workers(self):
         series = [frame(t, patients=[self.PATIENT]) for t in range(5)]
         summary = interaction_time(series)
-        assert summary.seconds == 0.0
+        assert summary.indicators == [0] * 5
         assert summary.events == []
+        assert session_report(series).interaction_time_s == 0.0
 
     def test_missing_patient_flagged(self):
         series = [frame(0, workers=[self.TOUCHING]),
                   frame(1, patients=[self.PATIENT], workers=[self.TOUCHING])]
         summary = interaction_time(series)
         assert summary.missing_patient_times == [0.0]
-        assert summary.seconds == 1.0
+        assert summary.indicators == [0, 1]
+        report = session_report(series)
+        assert report.gaps == [0.0]
+        assert report.interaction_time_s == 1.0
 
     def test_bounded_by_duration(self):
         series = [frame(t, patients=[self.PATIENT], workers=[self.TOUCHING, self.TOUCHING])
                   for t in range(7)]
         summary = interaction_time(series)
-        assert summary.seconds <= 7.0
+        assert summary.indicators == [1] * 7
+        assert len(summary.events) == 14
+        assert session_report(series).interaction_time_s == 7.0
 
 
 class TestMotionStep:

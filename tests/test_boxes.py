@@ -4,7 +4,7 @@ import pytest
 from oracles import raster_mask
 from wardflow.boxes import (BoundingBox, Detection, FrameDetections,
                             ObjectClass, area, intersection_area, iou,
-                            pixel_span)
+                            match_detections, pixel_span, time_key)
 
 
 def random_int_box(rng, grid=64, max_extent=32):
@@ -129,3 +129,31 @@ class TestFrameDetections:
     def test_confidence_range_enforced(self):
         with pytest.raises(ValueError):
             Detection(BoundingBox(0, 0, 1, 1), ObjectClass.WORKER, 1.2)
+
+
+class TestMatchDetections:
+    def test_time_key_is_the_microsecond(self):
+        assert time_key(0.1 + 3e-7) == time_key(0.1) == 100000
+        assert time_key(0.1 + 6e-7) != time_key(0.1)
+
+    def test_matched_items_are_the_given_objects(self):
+        timeline = [FrameDetections(k * 0.1) for k in range(3)]
+        dets = [FrameDetections(0.2 + 3e-7), FrameDetections(0.0)]
+        joined = match_detections(timeline, dets)
+        assert joined[0] is dets[1]
+        assert joined[2] is dets[0]
+        assert joined[1] is not timeline[1]
+        assert joined[1].timestamp == 0.1 and joined[1].detections == []
+
+    def test_unmatched_detection_frames_warn(self):
+        timeline = [FrameDetections(float(t)) for t in range(3)]
+        dets = [FrameDetections(1.0), FrameDetections(7.5), FrameDetections(9.0)]
+        with pytest.warns(UserWarning, match=r"2 detection frames .* t=7\.5"):
+            joined = match_detections(timeline, dets)
+        assert [fd is dets[0] for fd in joined] == [False, True, False]
+
+    def test_detection_frame_displaced_by_a_repeated_key_warns(self):
+        dets = [FrameDetections(1.0), FrameDetections(1.0 + 1e-7)]
+        with pytest.warns(UserWarning, match=r"1 detection frames .* t=1\.0$"):
+            (joined,) = match_detections([FrameDetections(1.0)], dets)
+        assert joined is dets[1]

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import wardflow.cli
 import wardflow.frames
 from wardflow.cli import main
 from wardflow.detect import parse_detections_jsonl
@@ -262,6 +263,71 @@ class TestStreamingEngine:
         assert main(["analyze", "--manifest", str(session / "manifest.json"), *argv,
                      "--out", str(tmp_path / "o")]) == 0
         assert reads == Counter(float(t) for t in range(10))
+
+
+@pytest.fixture
+def tenth_session(tmp_path):
+    """10 frames at t = k * 0.1 with dt 0.1, all with interaction, and
+    detections stamped 3e-7 s after each frame (inside the join's microsecond)."""
+    scenario = dict(SCENARIO, duration=10, workers=[
+        {"keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}])
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    session = tmp_path / "tenth"
+    assert main(["synth", "--scenario", str(scenario_path), "--out", str(session)]) == 0
+    doc = json.loads((session / "manifest.json").read_text())
+    doc["dt"] = 0.1
+    for k, entry in enumerate(doc["frames"]):
+        entry["t"] = k * 0.1
+    (session / "manifest.json").write_text(json.dumps(doc))
+    truth, shifted = [], []
+    for k, line in enumerate((session / "truth_dets.jsonl").read_text().splitlines()):
+        obj = json.loads(line)
+        truth.append(json.dumps(dict(obj, t=k * 0.1)))
+        shifted.append(json.dumps(dict(obj, t=k * 0.1 + 3e-7)))
+    (session / "gt.jsonl").write_text("\n".join(truth) + "\n")
+    (session / "dets.jsonl").write_text("\n".join(shifted) + "\n")
+    return session
+
+
+class TestPerSecondRule:
+    def test_activity_chart_plots_joined_interaction(self, tenth_session, tmp_path,
+                                                     monkeypatch):
+        charts = []
+        monkeypatch.setattr(wardflow.cli, "render_chart",
+                            lambda panels: charts.append(panels) or "<svg/>")
+        assert main(["analyze", "--manifest", str(tenth_session / "manifest.json"),
+                     "--dets", str(tenth_session / "dets.jsonl"), "--no-motion",
+                     "--out", str(tmp_path / "o")]) == 0
+        (activity,) = charts
+        assert activity[0].series[0].ys == [1.0] * 10
+        assert activity[1].series[0].ys == [1.0] * 10
+
+    def test_analyze_and_eval_agree_on_interaction_seconds(self, tenth_session, tmp_path):
+        assert main(["analyze", "--manifest", str(tenth_session / "manifest.json"),
+                     "--dets", str(tenth_session / "dets.jsonl"), "--no-motion",
+                     "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert len(report["events"]) == 10
+        assert main(["eval", "--dets", str(tenth_session / "dets.jsonl"),
+                     "--gt", str(tenth_session / "gt.jsonl"), "--dt", "0.1",
+                     "--out", str(tmp_path / "e")]) == 0
+        doc = json.loads((tmp_path / "e" / "eval.json").read_text())
+        assert report["interaction_time_s"] == 1.0
+        assert doc["interaction_time"]["predicted_s"] == 1.0
+        assert doc["interaction_time"]["label_s"] == 1.0
+
+    def test_unmatched_detections_warn(self, session, tmp_path):
+        dets = tmp_path / "extra.jsonl"
+        dets.write_text((session / "truth_dets.jsonl").read_text()
+                        + '{"t": 99.5, "dets": []}\n')
+        with pytest.warns(UserWarning, match=r"1 detection frames .* t=99\.5"):
+            assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                         "--dets", str(dets), "--no-motion", "--out", str(tmp_path / "a")]) == 0
+        with pytest.warns(UserWarning, match=r"1 detection frames .* t=99\.5"):
+            assert main(["eval", "--dets", str(dets),
+                         "--gt", str(session / "truth_dets.jsonl"),
+                         "--out", str(tmp_path / "e")]) == 0
 
 
 class TestEval:
