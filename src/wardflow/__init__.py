@@ -17,7 +17,7 @@ from .evaluation import (average_precision, counting_accuracy, format_duration,
                          mean_ap, parse_duration, time_error)
 from .flow import (FlowField, FlowParams, estimate_flow, magnitude_stats,
                    mask_worker_regions, poly_expand)
-from .frames import (GrayFrame, SequenceManifest, ThermalFrame, auto_window,
+from .frames import (SequenceManifest, ThermalFrame, auto_window,
                      normalize_to_gray, read_npy_frame, write_npy_frame)
 from .pipeline import SessionConfig, analyze_session
 from .synth import ActorScript, Keyframe, Scenario, render
@@ -26,15 +26,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActorScript", "BoundingBox", "Detection", "FlowField", "FlowParams",
-    "FormatError", "FrameDetections", "GrayFrame", "InteractionEvent",
-    "Keyframe", "MotionSample", "ObjectClass", "RikerRecord", "Scenario",
+    "FormatError", "FrameDetections", "InteractionEvent", "Keyframe",
+    "MotionSample", "ObjectClass", "RikerRecord", "Scenario",
     "SequenceManifest", "SessionConfig", "SessionReport", "ThermalFrame",
     "UnsupportedError", "ValidationError", "WardflowError", "align_riker",
     "analyze_session", "area", "auto_window", "average_precision",
     "blob_detect", "count_workers", "counting_accuracy", "estimate_flow",
     "format_duration", "interaction_time", "intersection_area", "iou",
     "magnitude_stats", "mask_worker_regions", "mean_ap", "motion_step",
-    "normalize_to_gray", "parse_detections_jsonl",
-    "parse_duration", "physical_interaction", "poly_expand",
-    "read_npy_frame", "render", "time_error", "write_npy_frame",
+    "normalize_to_gray", "parse_detections_jsonl", "parse_duration",
+    "physical_interaction", "poly_expand", "read_npy_frame", "render",
+    "time_error", "write_npy_frame",
 ]

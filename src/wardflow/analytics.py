@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -115,74 +114,61 @@ def interaction_time(series: list[FrameDetections], tau: float = 0.1,
     return InteractionSummary(indicators, events, missing)
 
 
-def motion_step(prev_motion: float, flow: FlowField, patient: BoundingBox,
-                workers: list[BoundingBox], alpha: float = 0.7,
-                timestamp: float = 0.0) -> MotionSample:
-    """One step of the relaxed motion recurrence.
-
-    Flow inside worker overlaps is zeroed, magnitude mean+std are taken
-    over the patient box, and the result is blended with the previous
-    motion: alpha*raw + (1-alpha)*prev.
+def motion_step(flow: FlowField, patient: BoundingBox, workers: list[BoundingBox],
+                timestamp: float) -> MotionSample:
+    """Unrelaxed motion of one frame: flow inside worker overlaps is
+    zeroed, and magnitude mean+std are taken over the patient box.  A
+    patient box outside the frame gives a gap sample.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
     clamped = patient.clamped(flow.width, flow.height)
     span = pixel_span(clamped, flow.width, flow.height) if clamped else None
     if span is None:
-        return MotionSample(timestamp, 0.0, prev_motion, gap=True)
+        return MotionSample(timestamp, 0.0, 0.0, gap=True)
     masked = mask_worker_regions(flow, clamped, workers)
     region = np.zeros((flow.height, flow.width), dtype=bool)
     region[span] = True
     mean, std = magnitude_stats(masked, region)
     raw = mean + std
-    return relax(prev_motion, MotionSample(timestamp, raw, raw), alpha)
+    return MotionSample(timestamp, raw, raw)
 
 
-def relax(prev_motion: float, sample: MotionSample, alpha: float) -> MotionSample:
-    """The relaxation alone: alpha*raw + (1-alpha)*prev; a gap keeps prev."""
+def relax(prev: float, sample: MotionSample, alpha: float) -> MotionSample:
+    """The motion recurrence: alpha*raw + (1-alpha)*prev; a gap keeps prev."""
     if sample.gap:
-        return MotionSample(sample.timestamp, 0.0, prev_motion, gap=True)
+        return MotionSample(sample.timestamp, 0.0, prev, gap=True)
     return MotionSample(sample.timestamp, sample.raw,
-                        alpha * sample.raw + (1.0 - alpha) * prev_motion)
+                        alpha * sample.raw + (1.0 - alpha) * prev)
 
 
 def align_riker(motion: list[MotionSample], records: list[RikerRecord],
-                window: float = 300.0) -> tuple[list[RikerGroup], list[RikerRecord]]:
+                window: float = 300.0) -> list[RikerGroup]:
     """Group windowed motion means by recorded score.
 
     For each record the smoothed samples within +/-window seconds are
     averaged; per score value the record means are summarized as mean
     and quartiles (boxplot statistics).  Records whose window holds no
-    samples are returned separately.
+    samples are left out.
     """
     if window <= 0:
         raise ValueError("window must be positive")
     by_score: dict[int, list[float]] = {}
-    excluded: list[RikerRecord] = []
     for rec in records:
         values = [s.smoothed for s in motion
                   if not s.gap and abs(s.timestamp - rec.timestamp) <= window]
-        if not values:
-            excluded.append(rec)
-            continue
-        by_score.setdefault(rec.score, []).append(float(np.mean(values)))
+        if values:
+            by_score.setdefault(rec.score, []).append(float(np.mean(values)))
     groups = []
     for score in sorted(by_score):
         means = by_score[score]
         q25, q50, q75 = np.percentile(means, [25.0, 50.0, 75.0])
         groups.append(RikerGroup(score, float(np.mean(means)),
                                  float(q25), float(q50), float(q75), len(means)))
-    return groups, excluded
+    return groups
 
 
-def read_riker_csv(source) -> list[RikerRecord]:
-    """Read "t,score" records; t in seconds since session start."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
-    else:
-        text = source
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+def read_riker_csv(text: str) -> list[RikerRecord]:
+    """Parse "t,score" CSV text; t in seconds since session start."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows or [c.strip() for c in rows[0]] != ["t", "score"]:
         raise FormatError('expected header "t,score"')
     records = []

@@ -41,13 +41,6 @@ class BoundingBox:
     def center(self) -> tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
-    def translated(self, dx: float, dy: float) -> "BoundingBox":
-        return BoundingBox(self.x + dx, self.y + dy, self.w, self.h)
-
-    def scaled(self, s: float) -> "BoundingBox":
-        """Scale about the origin by a positive factor."""
-        return BoundingBox(self.x * s, self.y * s, self.w * s, self.h * s)
-
     def clamped(self, width: float, height: float) -> "BoundingBox | None":
         """Clip to [0, width] x [0, height]; None if nothing remains."""
         x0 = max(self.x, 0.0)

@@ -173,12 +173,11 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _per_second_series(frames: list[FrameDetections], timeline: list[FrameDetections],
-                       conf_min: float, tau: float) -> tuple[list[int], list[int]]:
-    """Worker counts and interaction indicators of `frames` joined to `timeline`."""
-    joined = match_detections(timeline, frames)
-    return ([count_workers(f, conf_min) for f in joined],
-            interaction_time(joined, tau, conf_min).indicators)
+def _per_second_series(frames: list[FrameDetections], conf_min: float,
+                       tau: float) -> tuple[list[int], list[int]]:
+    """Worker counts and interaction indicators, one per frame."""
+    return ([count_workers(f, conf_min) for f in frames],
+            interaction_time(frames, tau, conf_min).indicators)
 
 
 def _cmd_eval(args) -> int:
@@ -189,8 +188,9 @@ def _cmd_eval(args) -> int:
     gts = _load_detections_file(args.gt)
 
     table = mean_ap(dets, gts, thresholds)
-    pred_counts, pred_pi = _per_second_series(dets, gts, args.conf_min, args.tau)
-    label_counts, label_pi = _per_second_series(gts, gts, args.conf_min, args.tau)
+    pred_counts, pred_pi = _per_second_series(match_detections(gts, dets),
+                                              args.conf_min, args.tau)
+    label_counts, label_pi = _per_second_series(gts, args.conf_min, args.tau)
     worker_acc = counting_accuracy(pred_counts, label_counts)
     pi_acc = counting_accuracy(pred_pi, label_pi)
     pred_nursing = sum(pred_counts) * args.dt

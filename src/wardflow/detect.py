@@ -68,6 +68,8 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
             try:
                 conf = float(d.get("conf", 1.0))
                 x, y, w, h = (float(v) for v in d["box"])
+                if not all(math.isfinite(v) for v in (x, y, w, h)):
+                    raise ValueError("box values must be finite")
                 box = BoundingBox(x, y, w, h)
                 det = Detection(box, cls, conf)
             except (KeyError, TypeError, ValueError) as exc:

@@ -14,10 +14,9 @@ import numpy as np
 from scipy import ndimage
 
 from .boxes import BoundingBox, intersection_area, pixel_span
-from .frames import GrayFrame
 
 # Local 2x2 systems with condition estimates beyond this are treated as
-# degenerate and fall back to the seed displacement.
+# degenerate and keep their current displacement.
 _COND_LIMIT = 1e6
 _MIN_EIG = 1e-9
 
@@ -70,10 +69,6 @@ class FlowField:
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.dx, self.dy)
 
-    @classmethod
-    def zeros(cls, width: int, height: int) -> "FlowField":
-        return cls(np.zeros((height, width)), np.zeros((height, width)))
-
 
 @dataclass
 class PolyExpansion:
@@ -88,8 +83,6 @@ class PolyExpansion:
 
 
 def _as_image(frame) -> np.ndarray:
-    if isinstance(frame, GrayFrame):
-        return frame.pixels.astype(np.float64)
     arr = np.asarray(frame, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D image")
@@ -216,13 +209,13 @@ def expand_pyramid(frame, params: FlowParams | None = None) -> list[PolyExpansio
     return [poly_expand(level, params.poly_n, params.poly_sigma) for level in levels]
 
 
-def estimate_flow(prev, nxt, params: FlowParams | None = None,
-                  seed: FlowField | None = None) -> FlowField:
-    """Dense displacement from `prev` to `nxt`, coarse-to-fine.
+def estimate_flow(prev, nxt, params: FlowParams | None = None) -> FlowField:
+    """Dense displacement from `prev` to `nxt`, coarse-to-fine from zero.
 
     Each frame is an image or its `expand_pyramid` result, built with
-    the same params.  Ill-conditioned pixels keep the seed (or zero)
-    displacement so the field is always fully populated.
+    the same params.  Ill-conditioned pixels keep the displacement they
+    have (zero unless a coarser level set it), so the field is always
+    fully populated.
     """
     params = params or FlowParams()
     pyr1, pyr2 = (frame if _is_pyramid(frame) else expand_pyramid(frame, params)
@@ -231,9 +224,7 @@ def estimate_flow(prev, nxt, params: FlowParams | None = None,
     if shapes1 != shapes2:
         raise ValueError(f"frame shapes differ: {shapes1[0]} vs {shapes2[0]}")
 
-    if seed is None:
-        seed = FlowField.zeros(pyr1[-1].c.shape[1], pyr1[-1].c.shape[0])
-    dx, dy = seed.dx, seed.dy
+    dx = dy = np.zeros(shapes1[-1])
     for e1, e2 in zip(reversed(pyr1), reversed(pyr2)):
         shape = e1.c.shape
         scale_x, scale_y = shape[1] / dx.shape[1], shape[0] / dx.shape[0]

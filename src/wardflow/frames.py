@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -56,27 +57,6 @@ class ThermalFrame:
     @property
     def height(self) -> int:
         return self.temps.shape[0]
-
-
-@dataclass(frozen=True)
-class GrayFrame:
-    """8-bit grayscale frame produced by temperature windowing."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        pixels = np.asarray(self.pixels)
-        if pixels.ndim != 2 or pixels.dtype != np.uint8:
-            raise ValidationError("gray frame must be a 2-D uint8 grid")
-        object.__setattr__(self, "pixels", pixels)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
 
 
 def read_npy_frame(data: bytes, timestamp: float = 0.0) -> ThermalFrame:
@@ -134,8 +114,8 @@ def write_npy_frame(frame: ThermalFrame) -> bytes:
     return bytes(out)
 
 
-def normalize_to_gray(frame: ThermalFrame, lo: float, hi: float) -> GrayFrame:
-    """Map temperatures in [lo, hi] linearly onto 0..255.
+def normalize_to_gray(frame: ThermalFrame, lo: float, hi: float) -> np.ndarray:
+    """Map temperatures in [lo, hi] linearly onto a 2-D uint8 image, 0..255.
 
     Rounding is half-away-from-zero so outputs are bit-stable across
     platforms.
@@ -143,7 +123,7 @@ def normalize_to_gray(frame: ThermalFrame, lo: float, hi: float) -> GrayFrame:
     if lo >= hi:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     scaled = np.clip((frame.temps - lo) / (hi - lo), 0.0, 1.0) * 255.0
-    return GrayFrame(np.floor(scaled + 0.5).astype(np.uint8))
+    return np.floor(scaled + 0.5).astype(np.uint8)
 
 
 def auto_window(frame: ThermalFrame) -> tuple[float, float]:
@@ -173,8 +153,8 @@ class SequenceManifest:
     resolution: tuple[int, int] | None = None  # (width, height)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
         times = [f.timestamp for f in self.frames]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError("frame timestamps must be strictly increasing")
@@ -192,6 +172,10 @@ def load_manifest(path) -> SequenceManifest:
         frames = [FrameEntry(str(e["path"]), float(e["t"])) for e in doc["frames"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad frame entry in manifest: {exc}") from exc
+    try:
+        dt = float(doc.get("dt", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"manifest dt must be a number: {exc}") from exc
     resolution = None
     if doc.get("resolution") is not None:
         try:
@@ -199,7 +183,7 @@ def load_manifest(path) -> SequenceManifest:
             resolution = (int(w), int(h))
         except (TypeError, ValueError) as exc:
             raise FormatError(f"manifest resolution must be [width, height]: {exc}") from exc
-    return SequenceManifest(frames, float(doc.get("dt", 1.0)), resolution)
+    return SequenceManifest(frames, dt, resolution)
 
 
 def save_manifest(manifest: SequenceManifest, path) -> None:

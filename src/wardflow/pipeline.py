@@ -55,9 +55,7 @@ def pair_motion(prev_pyr: list[PolyExpansion], cur_pyr: list[PolyExpansion],
     """
     flow = estimate_flow(prev_pyr, cur_pyr, config.flow)
     workers = [d.box for d in fd.workers(config.conf_min)]
-    # alpha 1 keeps no memory; the relaxation runs later, in frame order
-    return motion_step(0.0, flow, fd.best_patient(config.conf_min).box, workers, 1.0,
-                       timestamp=fd.timestamp)
+    return motion_step(flow, fd.best_patient(config.conf_min).box, workers, fd.timestamp)
 
 
 def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
@@ -150,9 +148,7 @@ def analyze_session(frames: Iterable[ThermalFrame], dets: list[FrameDetections] 
 
     counts = [count_workers(fd, config.conf_min) for fd in per_frame]
     summary = interaction_time(per_frame, config.tau, config.conf_min)
-    groups: list = []
-    if riker:
-        groups, _excluded = align_riker(motion, riker, config.riker_window)
+    groups = align_riker(motion, riker, config.riker_window) if riker else []
     return SessionReport(
         nursing_time_s=sum(counts) * config.dt,
         interaction_time_s=sum(summary.indicators) * config.dt,

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
+WIDTH = 720
+PANEL_HEIGHT = 220
 MARGIN_LEFT = 55
 MARGIN_RIGHT = 15
 MARGIN_TOP = 30
@@ -26,7 +28,6 @@ class Panel:
     title: str
     series: list[Series] = field(default_factory=list)
     x_label: str = ""
-    y_label: str = ""
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -53,7 +54,7 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _render_panel(panel: Panel, width: int, height: int, y_offset: int) -> list[str]:
+def _render_panel(panel: Panel, y_offset: int) -> list[str]:
     xs = [x for s in panel.series for x in s.xs]
     ys = [y for s in panel.series for y in s.ys]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
@@ -62,8 +63,8 @@ def _render_panel(panel: Panel, width: int, height: int, y_offset: int) -> list[
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(x):
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -119,17 +120,16 @@ def _render_panel(panel: Panel, width: int, height: int, y_offset: int) -> list[
     return parts
 
 
-def render_chart(panels: list[Panel], width: int = 720,
-                 panel_height: int = 220) -> str:
+def render_chart(panels: list[Panel]) -> str:
     """Stack panels vertically into one standalone SVG document."""
-    total_h = panel_height * len(panels)
+    total_h = PANEL_HEIGHT * len(panels)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{total_h}" viewBox="0 0 {width} {total_h}">',
-        f'<rect width="{width}" height="{total_h}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{total_h}" viewBox="0 0 {WIDTH} {total_h}">',
+        f'<rect width="{WIDTH}" height="{total_h}" fill="white"/>',
     ]
     for i, panel in enumerate(panels):
-        parts.extend(_render_panel(panel, width, panel_height, i * panel_height))
+        parts.extend(_render_panel(panel, i * PANEL_HEIGHT))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -21,6 +21,9 @@ from .errors import FormatError
 from .frames import (FrameEntry, SequenceManifest, ThermalFrame,
                      save_manifest, write_npy_frame)
 
+# Overlap threshold of the interaction truth; the analytics' default tau.
+TRUTH_TAU = 0.1
+
 
 @dataclass
 class Keyframe:
@@ -127,13 +130,12 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def render(scenario: Scenario, seed: int = 0,
-           tau: float = 0.1) -> tuple[list[ThermalFrame], GroundTruthBundle]:
+def render(scenario: Scenario, seed: int = 0) -> tuple[list[ThermalFrame], GroundTruthBundle]:
     """Render one frame per second plus exact ground truth.
 
     Deterministic for a fixed (scenario, seed).  The interaction truth
     uses the same overlap rule as the analytics, evaluated on the
-    scripted boxes.
+    scripted boxes at `TRUTH_TAU`.
     """
     rng = np.random.default_rng(seed)
     w, h = scenario.resolution
@@ -167,7 +169,7 @@ def render(scenario: Scenario, seed: int = 0,
         counts.append(len(worker_boxes))
         pi = 0
         if patient_box is not None:
-            pi = int(any(physical_interaction(patient_box, b, tau)[0]
+            pi = int(any(physical_interaction(patient_box, b, TRUTH_TAU)[0]
                          for b in worker_boxes))
         interaction.append(pi)
         center = patient_box.center if patient_box is not None else None
@@ -180,9 +182,9 @@ def render(scenario: Scenario, seed: int = 0,
     return frames, GroundTruthBundle(truth_frames, counts, interaction, displacement)
 
 
-def export_session(frames: list[ThermalFrame], truth: GroundTruthBundle,
-                   out_dir, dt: float = 1.0) -> None:
-    """Write the NPY sequence, manifest, and truth files for the CLI path."""
+def export_session(frames: list[ThermalFrame], truth: GroundTruthBundle, out_dir) -> None:
+    """Write the NPY sequence, manifest (dt 1.0, as `render` writes one
+    frame per second), and truth files for the CLI path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -191,7 +193,7 @@ def export_session(frames: list[ThermalFrame], truth: GroundTruthBundle,
         (out / name).write_bytes(write_npy_frame(frame))
         entries.append(FrameEntry(name, frame.timestamp))
     resolution = (frames[0].width, frames[0].height) if frames else None
-    save_manifest(SequenceManifest(entries, dt, resolution), out / "manifest.json")
+    save_manifest(SequenceManifest(entries, 1.0, resolution), out / "manifest.json")
     (out / "truth_dets.jsonl").write_text(detections_to_jsonl(truth.frames))
     (out / "truth.json").write_text(json.dumps({
         "worker_counts": truth.worker_counts,

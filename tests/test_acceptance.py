@@ -15,7 +15,7 @@ from wardflow.boxes import (BoundingBox, Detection, FrameDetections,
 from wardflow.cli import main
 from wardflow.evaluation import (average_precision, format_duration, mean_ap,
                                  parse_duration, time_error)
-from wardflow.analytics import motion_step, physical_interaction
+from wardflow.analytics import motion_step, physical_interaction, relax
 from wardflow.flow import FlowField, estimate_flow, poly_expand
 from wardflow.pipeline import SessionConfig, analyze_session
 
@@ -88,9 +88,9 @@ def test_criterion_4_motion_recurrence():
     r, alpha, motion0 = 2.0, 0.7, 9.0
     motion = motion0
     for t in range(1, 51):
-        motion = motion_step(motion, flow, patient, [], alpha=alpha).smoothed
+        motion = relax(motion, motion_step(flow, patient, [], float(t)), alpha).smoothed
         assert abs(abs(motion - r) - 0.3**t * abs(motion0 - r)) < 1e-12
-    sample = motion_step(123.0, flow, patient, [], alpha=1.0)
+    sample = relax(123.0, motion_step(flow, patient, [], 0.0), 1.0)
     assert sample.smoothed == sample.raw
     print("PASS criterion 4: relaxation decays as 0.3^t to 1e-12 over 50 steps; "
           "alpha=1 reproduces raw")

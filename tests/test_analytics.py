@@ -3,7 +3,7 @@ import pytest
 
 from wardflow.analytics import (MotionSample, RikerRecord, align_riker,
                                 count_workers, interaction_time, motion_step,
-                                physical_interaction, read_riker_csv,
+                                physical_interaction, read_riker_csv, relax,
                                 report_to_dict, SessionReport)
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass
 from wardflow.errors import FormatError
@@ -100,13 +100,16 @@ class TestPhysicalInteraction:
             assert ind_big >= ind_small
 
     def test_scale_invariant(self):
+        def scaled(b, s):  # about the origin
+            return BoundingBox(b.x * s, b.y * s, b.w * s, b.h * s)
+
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = BoundingBox(*rng.uniform(1, 40, size=4))
             w = BoundingBox(*rng.uniform(1, 40, size=4))
             s = float(rng.uniform(0.1, 10))
             ind1, r1 = physical_interaction(p, w)
-            ind2, r2 = physical_interaction(p.scaled(s), w.scaled(s))
+            ind2, r2 = physical_interaction(scaled(p, s), scaled(w, s))
             assert r2 == pytest.approx(r1)
             assert ind1 == ind2
 
@@ -162,18 +165,18 @@ class TestInteractionTime:
 class TestMotionStep:
     def test_uniform_flow(self):
         flow = FlowField(np.ones((40, 40)), np.zeros((40, 40)))
-        sample = motion_step(0.0, flow, BoundingBox(5, 5, 20, 20), [], alpha=0.7)
+        sample = relax(0.0, motion_step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 0.7)
         assert sample.raw == pytest.approx(1.0)
         assert sample.smoothed == pytest.approx(0.7)
 
     def test_zero_flow_decay(self):
-        flow = FlowField.zeros(40, 40)
-        sample = motion_step(2.0, flow, BoundingBox(5, 5, 20, 20), [], alpha=0.7)
+        flow = FlowField(np.zeros((40, 40)), np.zeros((40, 40)))
+        sample = relax(2.0, motion_step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 0.7)
         assert sample.smoothed == pytest.approx(0.6)
 
     def test_alpha_one_no_memory(self):
         flow = FlowField(np.full((40, 40), 3.0), np.zeros((40, 40)))
-        sample = motion_step(99.0, flow, BoundingBox(5, 5, 20, 20), [], alpha=1.0)
+        sample = relax(99.0, motion_step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 1.0)
         assert sample.smoothed == sample.raw
 
     def test_worker_masking_removes_worker_motion(self):
@@ -183,14 +186,14 @@ class TestMotionStep:
         dx[0:10, 0:20] = 5.0
         flow = FlowField(dx, np.zeros((40, 40)))
         patient = BoundingBox(0, 0, 20, 20)
-        with_mask = motion_step(0.0, flow, patient, [BoundingBox(0, 0, 20, 10)])
-        without = motion_step(0.0, flow, patient, [])
+        with_mask = motion_step(flow, patient, [BoundingBox(0, 0, 20, 10)], 0.0)
+        without = motion_step(flow, patient, [], 0.0)
         assert with_mask.raw == 0.0
         assert without.raw > 0.0
 
     def test_degenerate_patient_carries_forward(self):
-        flow = FlowField.zeros(40, 40)
-        sample = motion_step(1.25, flow, BoundingBox(100, 100, 5, 5), [], timestamp=3.0)
+        flow = FlowField(np.zeros((40, 40)), np.zeros((40, 40)))
+        sample = relax(1.25, motion_step(flow, BoundingBox(100, 100, 5, 5), [], 3.0), 0.7)
         assert sample.gap
         assert sample.smoothed == 1.25
         assert sample.timestamp == 3.0
@@ -202,13 +205,15 @@ class TestMotionStep:
         alpha, r = 0.7, 2.0
         motion = 10.0
         for t in range(1, 30):
-            motion = motion_step(motion, flow, patient, [], alpha=alpha).smoothed
+            motion = relax(motion, motion_step(flow, patient, [], float(t)), alpha).smoothed
             expected = (1 - alpha) ** t * abs(10.0 - r)
             assert abs(motion - r) == pytest.approx(expected, rel=1e-9)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            motion_step(0.0, FlowField.zeros(8, 8), BoundingBox(0, 0, 4, 4), [], alpha=0.0)
+            SessionConfig(alpha=0.0)
+        with pytest.raises(ValueError):
+            SessionConfig(alpha=1.5)
 
 
 class TestAlignRiker:
@@ -217,27 +222,24 @@ class TestAlignRiker:
 
     def test_constant_window(self):
         motion = self.samples([1.5] * 10)
-        groups, excluded = align_riker(motion, [RikerRecord(5.0, 4)], window=3.0)
-        assert excluded == []
-        (g,) = groups
-        assert (g.score, g.mean, g.q25, g.q50, g.q75) == (4, 1.5, 1.5, 1.5, 1.5)
+        (g,) = align_riker(motion, [RikerRecord(5.0, 4)], window=3.0)
+        assert (g.score, g.mean, g.q25, g.q50, g.q75, g.n) == (4, 1.5, 1.5, 1.5, 1.5, 1)
 
     def test_two_records_same_score(self):
         motion = self.samples([1.0] * 5) + self.samples([3.0] * 5, t0=100.0)
         records = [RikerRecord(2.0, 6), RikerRecord(102.0, 6)]
-        groups, _ = align_riker(motion, records, window=4.0)
+        groups = align_riker(motion, records, window=4.0)
         assert groups[0].mean == pytest.approx(2.0)
         assert groups[0].n == 2
 
     def test_empty_records(self):
-        groups, excluded = align_riker(self.samples([1.0]), [], window=10.0)
-        assert groups == [] and excluded == []
+        assert align_riker(self.samples([1.0]), [], window=10.0) == []
 
     def test_record_outside_session_excluded(self):
         motion = self.samples([1.0] * 5)
-        groups, excluded = align_riker(motion, [RikerRecord(500.0, 3)], window=10.0)
-        assert groups == []
-        assert excluded == [RikerRecord(500.0, 3)]
+        assert align_riker(motion, [RikerRecord(500.0, 3)], window=10.0) == []
+        (g,) = align_riker(motion, [RikerRecord(500.0, 3), RikerRecord(2.0, 3)], window=10.0)
+        assert g.n == 1
 
     def test_score_range_enforced(self):
         with pytest.raises(ValueError):

@@ -75,7 +75,9 @@ class TestIou:
         for _ in range(50):
             a, b = random_int_box(rng), random_int_box(rng)
             dx, dy = rng.uniform(-20, 20, size=2)
-            assert iou(a.translated(dx, dy), b.translated(dx, dy)) == pytest.approx(iou(a, b))
+            moved_a = BoundingBox(a.x + dx, a.y + dy, a.w, a.h)
+            moved_b = BoundingBox(b.x + dx, b.y + dy, b.w, b.h)
+            assert iou(moved_a, moved_b) == pytest.approx(iou(a, b))
 
     def test_matches_rasterization(self):
         rng = np.random.default_rng(5)

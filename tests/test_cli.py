@@ -129,13 +129,18 @@ class TestAnalyze:
         assert main(["analyze", "--manifest", str(session / "manifest.json"),
                      "--dets", str(bad), "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("line", ['{"t": 0, "dets": 5}', '{"t": 0, "dets": [5]}',
-                                      '{"t": 0, "dets": []}\n{"t": 0, "dets": []}'])
+    @pytest.mark.parametrize("line", [
+        '{"t": 0, "dets": 5}', '{"t": 0, "dets": [5]}',
+        '{"t": 0, "dets": []}\n{"t": 0, "dets": []}',
+        '{"t": 0, "dets": [{"cls": "patient", "box": [NaN, 0, 5, 5]}]}',
+        '{"t": 0, "dets": [{"cls": "worker", "box": [0, 0, Infinity, 5]}]}'])
     def test_malformed_dets_entries_exit_3(self, session, tmp_path, line):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(line + "\n")
         assert main(["analyze", "--manifest", str(session / "manifest.json"),
                      "--dets", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert main(["eval", "--dets", str(bad), "--gt", str(session / "truth_dets.jsonl"),
+                     "--out", str(tmp_path / "e")]) == 3
 
     @pytest.mark.parametrize("resolution", [5, ["a", "b"], [None, None], [64, 64, 1],
                                             [64, 63]])
@@ -146,6 +151,35 @@ class TestAnalyze:
         manifest.write_text(json.dumps(doc))
         assert main(["analyze", "--manifest", str(manifest), "--dets",
                      str(session / "truth_dets.jsonl"), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("dt", [None, [1], "abc", float("nan"), float("inf")])
+    def test_malformed_manifest_dt_exit_3(self, session, tmp_path, dt):
+        doc = json.loads((session / "manifest.json").read_text())
+        doc["dt"] = dt
+        manifest = session / "bad_manifest.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["analyze", "--manifest", str(manifest), "--dets",
+                     str(session / "truth_dets.jsonl"), "--out", str(tmp_path / "o")]) == 3
+
+    def test_riker_groups_in_report(self, session, tmp_path):
+        riker = tmp_path / "riker.csv"
+        riker.write_text("t,score\n4,3\n")
+        assert run_analyze(session, tmp_path / "o", ["--riker", str(riker),
+                                                     "--riker-window", "10"]) == 0
+        (group,) = json.loads((tmp_path / "o" / "report.json").read_text())["riker"]
+        assert (group["score"], group["n"]) == (3, 1)
+
+    def test_riker_header_only_without_newline_ok(self, session, tmp_path):
+        # one line of CSV text is still CSV text, not a file name
+        riker = tmp_path / "riker.csv"
+        riker.write_text("t,score")
+        assert run_analyze(session, tmp_path / "o", ["--no-motion", "--riker", str(riker)]) == 0
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["riker"] == []
+
+    def test_empty_riker_file_exit_3(self, session, tmp_path):
+        riker = tmp_path / "riker.csv"
+        riker.write_text("")
+        assert run_analyze(session, tmp_path / "o", ["--no-motion", "--riker", str(riker)]) == 3
 
     def test_frames_below_expansion_window_exit_4_without_patient(self, tmp_path):
         # no pair needs flow here, but motion on frames this small is still a

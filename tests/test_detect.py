@@ -47,6 +47,12 @@ class TestParseDetectionsJsonl:
             parse_detections_jsonl(f'{{"t":{t},"dets":[]}}')
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("box", ["[NaN,0,5,5]", "[0,0,Infinity,5]", "[0,-Infinity,5,5]"])
+    def test_non_finite_box_rejected(self, box):
+        with pytest.raises(FormatError, match="finite") as err:
+            parse_detections_jsonl(f'{{"t":0,"dets":[{{"cls":"patient","box":{box}}}]}}')
+        assert err.value.line == 1
+
     def test_sorted_by_timestamp(self):
         text = '{"t":2,"dets":[]}\n{"t":0,"dets":[]}\n{"t":1,"dets":[]}'
         frames = parse_detections_jsonl(text)

@@ -91,21 +91,22 @@ class TestNormalizeToGray:
     def test_endpoints(self):
         frame = ThermalFrame(np.array([[20.0, 40.0]]))
         gray = normalize_to_gray(frame, 20.0, 40.0)
-        assert gray.pixels.tolist() == [[0, 255]]
+        assert gray.dtype == np.uint8
+        assert gray.tolist() == [[0, 255]]
 
     def test_half_rounds_away_from_zero(self):
         frame = ThermalFrame(np.array([[30.0]]))
-        assert normalize_to_gray(frame, 20.0, 40.0).pixels[0, 0] == 128
+        assert normalize_to_gray(frame, 20.0, 40.0)[0, 0] == 128
 
     def test_clamping_outside_window(self):
         frame = ThermalFrame(np.array([[5.0, 90.0]]))
         gray = normalize_to_gray(frame, 20.0, 40.0)
-        assert gray.pixels.tolist() == [[0, 255]]
+        assert gray.tolist() == [[0, 255]]
 
     def test_constant_frame_uniform(self):
         frame = ThermalFrame(np.full((4, 4), 25.0))
         gray = normalize_to_gray(frame, 24.9, 25.1)
-        assert len(np.unique(gray.pixels)) == 1
+        assert len(np.unique(gray)) == 1
 
     def test_lo_ge_hi_rejected(self):
         frame = ThermalFrame(np.full((2, 2), 25.0))
@@ -116,7 +117,7 @@ class TestNormalizeToGray:
         rng = np.random.default_rng(3)
         temps = np.sort(rng.uniform(-10, 100, size=64)).reshape(8, 8)
         gray = normalize_to_gray(ThermalFrame(temps), 10.0, 50.0)
-        assert np.all(np.diff(gray.pixels.ravel().astype(int)) >= 0)
+        assert np.all(np.diff(gray.ravel().astype(int)) >= 0)
 
 
 class TestAutoWindow:

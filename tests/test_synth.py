@@ -80,7 +80,7 @@ class TestRender:
         scenario = Scenario(duration=60, patient=static_patient(patient_box),
                             workers=[worker], resolution=(96, 96),
                             noise_sigma_c=0.0)
-        _, truth = render(scenario, seed=0, tau=0.1)
+        _, truth = render(scenario, seed=0)
         assert sum(truth.interaction) == 30
         assert truth.interaction[10] == 1 and truth.interaction[9] == 0
         assert truth.worker_counts[10:40] == [1] * 30
@@ -174,7 +174,7 @@ class TestMotionEngine:
                 flow = estimate_flow(grays[k - 1], grays[k], config.flow)
                 workers = [d.box for d in dets[k].workers(config.conf_min)]
                 patient = dets[k].best_patient(config.conf_min).box
-                expected[k] = motion_step(0.0, flow, patient, workers, config.alpha).raw
+                expected[k] = motion_step(flow, patient, workers, dets[k].timestamp).raw
 
         calls = {"flow": 0, "expand": 0}
 
@@ -205,7 +205,7 @@ def test_export_session(tmp_path):
     frames, truth = render(scenario, seed=0)
     export_session(frames, truth, tmp_path / "out")
     out = tmp_path / "out"
-    assert (out / "manifest.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["dt"] == 1.0
     assert (out / "frame_00000.npy").exists()
     assert (out / "truth_dets.jsonl").exists()
     doc = json.loads((out / "truth.json").read_text())
