@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,8 @@ class RikerRecord:
     score: int
 
     def __post_init__(self):
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"time must be finite, got {self.timestamp}")
         if not 1 <= self.score <= 7:
             raise ValueError(f"score must be 1..7, got {self.score}")
 
@@ -81,8 +84,8 @@ def count_workers(frame_dets: FrameDetections, conf_min: float = 0.5) -> int:
 def physical_interaction(patient: BoundingBox, worker: BoundingBox,
                          tau: float = 0.1) -> tuple[int, float]:
     """Overlap fraction of the patient box, thresholded at tau (inclusive)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     ratio = intersection_area(patient, worker) / area(patient)
     return (1 if ratio >= tau else 0), ratio
 
@@ -116,18 +119,15 @@ def interaction_time(series: list[FrameDetections], tau: float = 0.1,
 
 def motion_step(flow: FlowField, patient: BoundingBox, workers: list[BoundingBox],
                 timestamp: float) -> MotionSample:
-    """Unrelaxed motion of one frame: flow inside worker overlaps is
-    zeroed, and magnitude mean+std are taken over the patient box.  A
-    patient box outside the frame gives a gap sample.
+    """Unrelaxed motion of one frame: magnitude mean+std over a copy of the
+    patient's pixel span only, with flow inside worker overlaps zeroed.
+    A patient box outside the frame gives a gap sample.
     """
     clamped = patient.clamped(flow.width, flow.height)
     span = pixel_span(clamped, flow.width, flow.height) if clamped else None
     if span is None:
         return MotionSample(timestamp, 0.0, 0.0, gap=True)
-    masked = mask_worker_regions(flow, clamped, workers)
-    region = np.zeros((flow.height, flow.width), dtype=bool)
-    region[span] = True
-    mean, std = magnitude_stats(masked, region)
+    mean, std = magnitude_stats(mask_worker_regions(flow, clamped, span, workers))
     raw = mean + std
     return MotionSample(timestamp, raw, raw)
 
@@ -149,8 +149,8 @@ def align_riker(motion: list[MotionSample], records: list[RikerRecord],
     and quartiles (boxplot statistics).  Records whose window holds no
     samples are left out.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
+    if not 0 < window < math.inf:
+        raise ValueError(f"window must be positive and finite, got {window}")
     by_score: dict[int, list[float]] = {}
     for rec in records:
         values = [s.smoothed for s in motion

@@ -184,19 +184,20 @@ def _cmd_eval(args) -> int:
     thresholds = tuple(float(v) for v in args.thresholds.split(",") if v)
     if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
         raise ValueError(f"bad IoU thresholds {args.thresholds!r}")
+    config = SessionConfig(tau=args.tau, dt=args.dt, conf_min=args.conf_min)
     dets = _load_detections_file(args.dets)
     gts = _load_detections_file(args.gt)
 
     table = mean_ap(dets, gts, thresholds)
     pred_counts, pred_pi = _per_second_series(match_detections(gts, dets),
-                                              args.conf_min, args.tau)
-    label_counts, label_pi = _per_second_series(gts, args.conf_min, args.tau)
+                                              config.conf_min, config.tau)
+    label_counts, label_pi = _per_second_series(gts, config.conf_min, config.tau)
     worker_acc = counting_accuracy(pred_counts, label_counts)
     pi_acc = counting_accuracy(pred_pi, label_pi)
-    pred_nursing = sum(pred_counts) * args.dt
-    label_nursing = sum(label_counts) * args.dt
-    pred_inter = sum(pred_pi) * args.dt
-    label_inter = sum(label_pi) * args.dt
+    pred_nursing = sum(pred_counts) * config.dt
+    label_nursing = sum(label_counts) * config.dt
+    pred_inter = sum(pred_pi) * config.dt
+    label_inter = sum(label_pi) * config.dt
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 from scipy import ndimage
@@ -26,7 +27,8 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
     Line schema: {"t": seconds, "dets": [{"cls": "patient"|"worker",
     "conf": r, "box": [x, y, w, h]}, ...]}.  "conf" defaults to 1.0 so
     ground-truth files can reuse the format.  When a (width, height)
-    resolution is given, boxes are clamped to the frame.  Two lines with
+    resolution is given, boxes are clamped to the frame, and boxes wholly
+    outside it are dropped with a warning.  Two lines with
     the same timestamp (to the microsecond the timestamp joins match on)
     are rejected.
     """
@@ -36,6 +38,7 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
         lines = source
     frames = []
     first_line = {}  # timestamp key -> line that used it
+    outside = []  # timestamps of dropped boxes
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -77,10 +80,14 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
             if resolution is not None:
                 clamped = box.clamped(*resolution)
                 if clamped is None:
-                    continue  # entirely outside the frame
+                    outside.append(t)
+                    continue
                 det = Detection(clamped, cls, conf)
             dets.append(det)
         frames.append(FrameDetections(t, dets))
+    if outside:
+        warnings.warn(f"{len(outside)} detections lie wholly outside the frame and are "
+                      f"dropped, the first at t={min(outside)}")
     frames.sort(key=lambda f: f.timestamp)
     return frames
 

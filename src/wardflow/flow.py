@@ -89,11 +89,6 @@ def _as_image(frame) -> np.ndarray:
     return arr
 
 
-def _is_pyramid(frame) -> bool:
-    return isinstance(frame, list) and bool(frame) and all(
-        isinstance(e, PolyExpansion) for e in frame)
-
-
 def poly_expand(frame, poly_n: int = 5, poly_sigma: float = 1.1) -> PolyExpansion:
     """Fit every pixel neighborhood to a quadratic in {1,x,y,x2,y2,xy}.
 
@@ -191,9 +186,9 @@ def _resize(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def expand_pyramid(frame, params: FlowParams | None = None) -> list[PolyExpansion]:
     """Polynomial expansion of every pyramid level of one frame, finest first.
 
-    Levels too small to hold the expansion window are dropped.  A frame's
-    pyramid can be passed to `estimate_flow` for each pair it belongs to,
-    so each frame is expanded once.
+    This is how an image enters the flow: `estimate_flow` takes two of
+    these pyramids, so a frame is expanded once for both pairs it belongs
+    to.  Levels too small to hold the expansion window are dropped.
     """
     params = params or FlowParams()
     img = _as_image(frame)
@@ -209,23 +204,20 @@ def expand_pyramid(frame, params: FlowParams | None = None) -> list[PolyExpansio
     return [poly_expand(level, params.poly_n, params.poly_sigma) for level in levels]
 
 
-def estimate_flow(prev, nxt, params: FlowParams | None = None) -> FlowField:
-    """Dense displacement from `prev` to `nxt`, coarse-to-fine from zero.
+def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
+                  params: FlowParams) -> FlowField:
+    """Dense displacement between two frames, coarse-to-fine from zero.
 
-    Each frame is an image or its `expand_pyramid` result, built with
-    the same params.  Ill-conditioned pixels keep the displacement they
-    have (zero unless a coarser level set it), so the field is always
-    fully populated.
+    Each frame is its `expand_pyramid` result, built with `params`.
+    Ill-conditioned pixels keep the displacement they have (zero unless a
+    coarser level set it), so the field is always fully populated.
     """
-    params = params or FlowParams()
-    pyr1, pyr2 = (frame if _is_pyramid(frame) else expand_pyramid(frame, params)
-                  for frame in (prev, nxt))
-    shapes1, shapes2 = ([e.c.shape for e in pyr] for pyr in (pyr1, pyr2))
+    shapes1, shapes2 = ([e.c.shape for e in pyr] for pyr in (prev_pyr, next_pyr))
     if shapes1 != shapes2:
         raise ValueError(f"frame shapes differ: {shapes1[0]} vs {shapes2[0]}")
 
     dx = dy = np.zeros(shapes1[-1])
-    for e1, e2 in zip(reversed(pyr1), reversed(pyr2)):
+    for e1, e2 in zip(reversed(prev_pyr), reversed(next_pyr)):
         shape = e1.c.shape
         scale_x, scale_y = shape[1] / dx.shape[1], shape[0] / dx.shape[0]
         dx, dy = _resize(dx, shape) * scale_x, _resize(dy, shape) * scale_y
@@ -234,23 +226,18 @@ def estimate_flow(prev, nxt, params: FlowParams | None = None) -> FlowField:
     return FlowField(dx, dy)
 
 
-def magnitude_stats(flow: FlowField, mask: np.ndarray | None = None) -> tuple[float, float]:
-    """Mean and population std of the flow magnitude over a region."""
+def magnitude_stats(flow: FlowField) -> tuple[float, float]:
+    """Mean and population std of the flow magnitude over the whole field."""
     mag = flow.magnitude()
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != mag.shape:
-            raise ValueError("mask shape must match the flow field")
-        if not mask.any():
-            raise ValueError("mask selects no pixels")
-        mag = mag[mask]
     return float(mag.mean()), float(mag.std())
 
 
-def mask_worker_regions(flow: FlowField, patient: BoundingBox,
+def mask_worker_regions(flow: FlowField, patient: BoundingBox, span: tuple[slice, slice],
                         workers: list[BoundingBox]) -> FlowField:
-    """Zero the flow where worker boxes overlap the patient box."""
-    dx, dy = flow.dx.copy(), flow.dy.copy()
+    """A copy of the flow over the patient's pixel `span`, zeroed where
+    worker boxes overlap the patient box; an overlap's span starts inside
+    `span`, since `pixel_span` rounds both ends up."""
+    dx, dy = flow.dx[span].copy(), flow.dy[span].copy()
     for worker in workers:
         if intersection_area(patient, worker) <= 0:
             continue
@@ -259,8 +246,9 @@ def mask_worker_regions(flow: FlowField, patient: BoundingBox,
             min(patient.right, worker.right) - max(patient.x, worker.x),
             min(patient.bottom, worker.bottom) - max(patient.y, worker.y),
         )
-        span = pixel_span(overlap, flow.width, flow.height)
-        if span is not None:
-            dx[span] = 0.0
-            dy[span] = 0.0
+        inner = pixel_span(overlap, flow.width, flow.height)
+        if inner is not None:
+            local = tuple(slice(i.start - s.start, i.stop - s.start) for i, s in zip(inner, span))
+            dx[local] = 0.0
+            dy[local] = 0.0
     return FlowField(dx, dy)

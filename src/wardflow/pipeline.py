@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -29,20 +30,20 @@ class SessionConfig:
     contrast_window: tuple[float, float] | None = None  # None -> auto
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.conf_min <= 1.0:
             raise ValueError("conf_min must be in [0, 1]")
-        if self.riker_window <= 0:
-            raise ValueError("riker window must be positive")
+        if not 0.0 < self.riker_window < math.inf:
+            raise ValueError(f"riker window must be positive and finite, got {self.riker_window}")
         if self.contrast_window is not None:
             lo, hi = self.contrast_window
-            if lo >= hi:
-                raise ValueError("contrast window needs lo < hi")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError("contrast window needs finite lo < hi")
 
 
 def pair_motion(prev_pyr: list[PolyExpansion], cur_pyr: list[PolyExpansion],

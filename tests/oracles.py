@@ -2,14 +2,15 @@
 
 These deliberately avoid the library's fast paths: rasterized pixel
 sets for box geometry, flood fill for components, dense least squares
-for the polynomial fit, naive PR enumeration for AP, and the per-pair
-flow arithmetic with no shared passes.
+for the polynomial fit, naive PR enumeration for AP, the per-pair flow
+arithmetic with no shared passes, and the motion statistics taken over
+the whole frame through a boolean region.
 """
 
 import numpy as np
 from scipy import ndimage
 
-from wardflow.boxes import iou
+from wardflow.boxes import BoundingBox, intersection_area, iou, pixel_span
 from wardflow.flow import _COND_LIMIT, _MIN_EIG, _gaussian_kernel, _resize
 
 
@@ -149,6 +150,37 @@ def flow_per_pair(img1, img2, params, seed=None):
         for _ in range(params.iterations):
             dx, dy = update(e1, e2, dx, dy)
     return dx, dy
+
+
+def motion_raw_full_frame(flow, patient, workers):
+    """Unrelaxed motion of one frame on full-frame arrays, or None for a gap.
+
+    The flow is copied whole, worker overlaps are zeroed at their
+    full-frame pixel spans, and mean + std of the magnitude are taken
+    over a frame-sized boolean region holding the patient's span.
+    """
+    height, width = flow.dx.shape
+    clamped = patient.clamped(width, height)
+    span = pixel_span(clamped, width, height) if clamped else None
+    if span is None:
+        return None
+    dx, dy = flow.dx.copy(), flow.dy.copy()
+    for worker in workers:
+        if intersection_area(clamped, worker) <= 0:
+            continue
+        overlap = BoundingBox(
+            max(clamped.x, worker.x), max(clamped.y, worker.y),
+            min(clamped.right, worker.right) - max(clamped.x, worker.x),
+            min(clamped.bottom, worker.bottom) - max(clamped.y, worker.y),
+        )
+        inner = pixel_span(overlap, width, height)
+        if inner is not None:
+            dx[inner] = 0.0
+            dy[inner] = 0.0
+    region = np.zeros((height, width), dtype=bool)
+    region[span] = True
+    mag = np.hypot(dx, dy)[region]
+    return float(mag.mean()) + float(mag.std())
 
 
 def ap_bruteforce(pred_frames, gt_frames, cls, thr):

@@ -16,7 +16,7 @@ from wardflow.cli import main
 from wardflow.evaluation import (average_precision, format_duration, mean_ap,
                                  parse_duration, time_error)
 from wardflow.analytics import motion_step, physical_interaction, relax
-from wardflow.flow import FlowField, estimate_flow, poly_expand
+from wardflow.flow import FlowField, FlowParams, estimate_flow, expand_pyramid, poly_expand
 from wardflow.pipeline import SessionConfig, analyze_session
 
 
@@ -99,7 +99,9 @@ def test_criterion_4_motion_recurrence():
 def test_criterion_5_optical_flow():
     start = time.perf_counter()
     img0, _ = _shifted_pair(0, (0, 0))
-    assert estimate_flow(img0, img0).magnitude().max() < 0.05
+    params = FlowParams()
+    pyr0 = expand_pyramid(img0, params)
+    assert estimate_flow(pyr0, pyr0, params).magnitude().max() < 0.05
     central = (slice(8, 56), slice(8, 56))
     shifts = [(1, 0), (-1, 2), (2, -2), (-2, -1), (3, 1), (-3, 4),
               (4, 0), (-4, -4), (0, 3), (1, -3)]
@@ -108,7 +110,7 @@ def test_criterion_5_optical_flow():
     for seed in range(20):
         shift = shifts[seed % len(shifts)]
         img, moved = _shifted_pair(seed, shift)
-        flow = estimate_flow(img, moved)
+        flow = estimate_flow(expand_pyramid(img, params), expand_pyramid(moved, params), params)
         epe = float(np.hypot(flow.dx[central] - shift[0],
                              flow.dy[central] - shift[1]).mean())
         worst = max(worst, epe)

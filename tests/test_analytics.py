@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import motion_raw_full_frame
 from wardflow.analytics import (MotionSample, RikerRecord, align_riker,
                                 count_workers, interaction_time, motion_step,
                                 physical_interaction, read_riker_csv, relax,
                                 report_to_dict, SessionReport)
-from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass
+from wardflow.boxes import (BoundingBox, Detection, FrameDetections, ObjectClass,
+                            intersection_area)
 from wardflow.errors import FormatError
 from wardflow.flow import FlowField
 from wardflow.pipeline import SessionConfig, analyze_session
@@ -79,6 +81,11 @@ class TestPhysicalInteraction:
     def test_disjoint(self):
         assert physical_interaction(BoundingBox(0, 0, 10, 10),
                                     BoundingBox(50, 50, 10, 10)) == (0, 0.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1, float("nan"), float("inf")])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        with pytest.raises(ValueError):
+            physical_interaction(BoundingBox(0, 0, 10, 10), BoundingBox(5, 5, 10, 10), tau)
 
     def test_worker_inside_half_area(self):
         patient = BoundingBox(0, 0, 20, 20)
@@ -209,6 +216,54 @@ class TestMotionStep:
             expected = (1 - alpha) ** t * abs(10.0 - r)
             assert abs(motion - r) == pytest.approx(expected, rel=1e-9)
 
+    def test_span_matches_full_frame_reference(self):
+        # the span-only arithmetic must give the bits of the full-frame
+        # copy, mask and boolean region, for every kind of box
+        rng = np.random.default_rng(21)
+        seen = {"gap": 0, "zeroed": 0}
+
+        def box(x, y, w, h):
+            return BoundingBox(float(x), float(y), float(w), float(h))
+
+        for case in range(1500):
+            height, width = (int(v) for v in rng.integers(1, 48, size=2))
+            flow = FlowField(rng.normal(size=(height, width)), rng.normal(size=(height, width)))
+            kind = case % 6
+            if kind == 0:    # whole frame
+                patient = box(0, 0, width, height)
+            elif kind == 1:  # one pixel
+                patient = box(rng.integers(0, width), rng.integers(0, height), 1, 1)
+            elif kind == 2:  # wholly outside the frame: a gap
+                patient = box(width + rng.uniform(0, 5), rng.uniform(-5, height),
+                              rng.uniform(0.5, 10), rng.uniform(0.5, 10))
+            else:            # fractional, possibly sticking out of the frame
+                patient = box(rng.uniform(-0.3, 1.0) * width, rng.uniform(-0.3, 1.0) * height,
+                              rng.uniform(0.1, 1.3) * width, rng.uniform(0.1, 1.3) * height)
+            workers = []
+            for _ in range(rng.integers(0, 4)):
+                how = rng.integers(0, 3)
+                if how == 0:    # covers the patient fully
+                    workers.append(box(patient.x - 1, patient.y - 1,
+                                       patient.w + 2, patient.h + 2))
+                elif how == 1:  # partly over the patient
+                    workers.append(box(patient.x + rng.uniform(-1, 1) * patient.w,
+                                       patient.y + rng.uniform(-1, 1) * patient.h,
+                                       rng.uniform(0.2, 1.0) * patient.w,
+                                       rng.uniform(0.2, 1.0) * patient.h))
+                else:           # away from the patient
+                    workers.append(box(patient.right + rng.uniform(0, 3), patient.y,
+                                       rng.uniform(0.5, 5), rng.uniform(0.5, 5)))
+            expected = motion_raw_full_frame(flow, patient, workers)
+            sample = motion_step(flow, patient, workers, float(case))
+            if expected is None:
+                seen["gap"] += 1
+                assert sample.gap and sample.raw == 0.0
+            else:
+                assert not sample.gap
+                assert sample.raw.hex() == expected.hex(), (height, width, patient, workers)
+                seen["zeroed"] += any(intersection_area(patient, w) > 0 for w in workers)
+        assert seen["gap"] >= 250 and seen["zeroed"] >= 250
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             SessionConfig(alpha=0.0)
@@ -259,6 +314,17 @@ class TestRikerCsv:
         with pytest.raises(FormatError) as err:
             read_riker_csv("t,score\n0,3\nx,y\n")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_time_carries_line(self, t):
+        with pytest.raises(FormatError) as err:
+            read_riker_csv(f"t,score\n0,3\n{t},3\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf")])
+    def test_window_must_be_positive_and_finite(self, window):
+        with pytest.raises(ValueError):
+            align_riker([MotionSample(0.0, 1.0, 1.0)], [RikerRecord(0.0, 3)], window)
 
 
 def test_report_dict_field_names():

@@ -5,6 +5,12 @@ of them dangling."""
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+import wardflow.analytics
+from wardflow.boxes import BoundingBox
+from wardflow.flow import FlowField
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -14,3 +20,19 @@ def test_every_binding_names_a_module_global(monkeypatch):
     assert layers.BINDINGS
     for module, name, _span, _note in layers.BINDINGS:
         assert callable(getattr(importlib.import_module(module), name)), f"{module}.{name}"
+
+
+def test_motion_step_calls_the_mask_and_stats_globals(monkeypatch):
+    # the flow.mask and flow.stats spans time these two names; a motion
+    # step that stopped calling them would leave both spans empty
+    calls = {"mask_worker_regions": 0, "magnitude_stats": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(wardflow.analytics, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(wardflow.analytics, name, counted)
+    flow = FlowField(np.ones((20, 30)), np.zeros((20, 30)))
+    sample = wardflow.analytics.motion_step(flow, BoundingBox(2, 3, 10, 12),
+                                            [BoundingBox(8, 0, 6, 6)], 1.0)
+    assert not sample.gap
+    assert calls == {"mask_worker_regions": 1, "magnitude_stats": 1}

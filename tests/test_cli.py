@@ -215,6 +215,35 @@ class TestAnalyze:
         assert run_analyze(session, tmp_path / "o", ["--alpha", "1.5"]) == 4
         assert run_analyze(session, tmp_path / "o", ["--tau", "-1"]) == 4
 
+    @pytest.mark.parametrize("option", ["--tau=nan", "--tau=inf", "--riker-window=nan",
+                                        "--riker-window=inf", "--riker-window=0",
+                                        "--alpha=nan", "--window=nan,40", "--window=20,inf"])
+    def test_non_finite_setting_exit_4(self, session, tmp_path, option):
+        assert run_analyze(session, tmp_path / "o", ["--no-motion", option]) == 4
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_riker_time_exit_3(self, session, tmp_path, t):
+        riker = tmp_path / "riker.csv"
+        riker.write_text(f"t,score\n{t},3\n")
+        assert run_analyze(session, tmp_path / "o", ["--no-motion", "--riker", str(riker)]) == 3
+
+    def test_detections_outside_frame_warn(self, session, tmp_path):
+        lines = []
+        for line in (session / "truth_dets.jsonl").read_text().splitlines():
+            obj = json.loads(line)
+            if obj["t"] in (2.0, 5.0):
+                obj["dets"].append({"cls": "worker", "conf": 0.9, "box": [70, 10, 5, 5]})
+            lines.append(json.dumps(obj))
+        dets = tmp_path / "outside.jsonl"
+        dets.write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning, match=r"2 detections lie wholly outside .* t=2\.0"):
+            assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                         "--dets", str(dets), "--no-motion", "--out", str(tmp_path / "a")]) == 0
+        assert run_analyze(session, tmp_path / "b", ["--no-motion"]) == 0
+        assert ((tmp_path / "a" / "report.json").read_bytes()
+                == (tmp_path / "b" / "report.json").read_bytes())
+
 
 def small_session(tmp_path, frames, absent=()):
     """A session of `frames` seconds at 64x48 whose detections drop the
@@ -399,6 +428,15 @@ class TestEval:
         assert code == 0
         doc = json.loads((out / "eval.json").read_text())
         assert doc["map_overall"] == 0.0
+
+    @pytest.mark.parametrize("option", ["--tau=nan", "--tau=inf", "--dt=0", "--dt=-1",
+                                        "--dt=nan", "--dt=inf", "--conf-min=nan"])
+    def test_bad_setting_exit_4(self, session, tmp_path, option):
+        # the same SessionConfig check as analyze
+        assert main(["eval", "--dets", str(session / "truth_dets.jsonl"),
+                     "--gt", str(session / "truth_dets.jsonl"), option,
+                     "--out", str(tmp_path / "o")]) == 4
+        assert not (tmp_path / "o").exists()
 
     def test_bad_thresholds_exit_4(self, session, tmp_path):
         assert main(["eval", "--dets", str(session / "truth_dets.jsonl"),

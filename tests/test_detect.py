@@ -69,10 +69,19 @@ class TestParseDetectionsJsonl:
         assert frames[0].detections[0].box == BoundingBox(90, 90, 10, 10)
 
     def test_fully_outside_box_dropped(self):
-        frames = parse_detections_jsonl(
-            '{"t":0,"dets":[{"cls":"worker","conf":1,"box":[200,200,5,5]}]}',
-            resolution=(100, 100))
+        with pytest.warns(UserWarning, match=r"1 detections lie wholly outside .* t=0\.0"):
+            frames = parse_detections_jsonl(
+                '{"t":0,"dets":[{"cls":"worker","conf":1,"box":[200,200,5,5]}]}',
+                resolution=(100, 100))
         assert frames[0].detections == []
+
+    def test_dropped_boxes_counted_with_earliest_time(self):
+        text = ('{"t":3,"dets":[{"cls":"worker","box":[-9,0,5,5]}]}\n'
+                '{"t":1,"dets":[{"cls":"patient","box":[0,0,5,5]},'
+                '{"cls":"worker","box":[0,100,5,5]},{"cls":"worker","box":[100,0,5,5]}]}\n')
+        with pytest.warns(UserWarning, match=r"^3 detections .* the first at t=1\.0$"):
+            frames = parse_detections_jsonl(text, resolution=(100, 100))
+        assert [len(f.detections) for f in frames] == [1, 0]
 
     def test_roundtrip(self):
         text = ('{"t": 0.0, "dets": [{"cls": "patient", "conf": 0.75, '

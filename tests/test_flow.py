@@ -3,7 +3,8 @@ import pytest
 from scipy import ndimage
 
 from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
-from wardflow.boxes import BoundingBox
+from wardflow.analytics import motion_step
+from wardflow.boxes import BoundingBox, pixel_span
 from wardflow.flow import (FlowField, FlowParams, estimate_flow, expand_pyramid,
                            magnitude_stats, mask_worker_regions, poly_expand)
 
@@ -22,6 +23,11 @@ def shifted_pair(seed, shift, size=64, margin=8):
     img = big[margin:margin + size, margin:margin + size]
     moved = big[margin - sy:margin - sy + size, margin - sx:margin - sx + size]
     return img, moved
+
+
+def flow_between(img, moved, params=FlowParams()):
+    """Flow between two images, each expanded once as a pyramid."""
+    return estimate_flow(expand_pyramid(img, params), expand_pyramid(moved, params), params)
 
 
 class TestPolyExpand:
@@ -65,30 +71,30 @@ class TestPolyExpand:
 class TestEstimateFlow:
     def test_identical_frames_zero_flow(self):
         img = smooth_texture(0)
-        flow = estimate_flow(img, img)
+        flow = flow_between(img, img)
         assert flow.magnitude().max() < 0.05
 
     def test_integer_shift_recovered(self):
         central = (slice(8, 56), slice(8, 56))
         for seed, shift in [(1, (3, 0)), (2, (-2, 1)), (3, (4, -3)), (4, (-1, -4))]:
             img, moved = shifted_pair(seed, shift)
-            flow = estimate_flow(img, moved)
+            flow = flow_between(img, moved)
             epe = np.hypot(flow.dx[central] - shift[0],
                            flow.dy[central] - shift[1]).mean()
             assert epe < 0.5, f"seed={seed} shift={shift} epe={epe}"
 
     def test_constant_frames_fall_back_to_zero(self):
         img = np.full((32, 32), 128.0)
-        flow = estimate_flow(img, img + 1.0)
+        flow = flow_between(img, img + 1.0)
         assert flow.magnitude().max() == 0.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            estimate_flow(np.zeros((32, 32)), np.zeros((32, 33)))
+            flow_between(np.zeros((32, 32)), np.zeros((32, 33)))
 
     def test_constant_frames_give_exactly_zero_flow(self):
         # every pixel is degenerate, so every level keeps the zero start
-        flow = estimate_flow(np.full((32, 32), 50.0), np.full((32, 32), 50.0))
+        flow = flow_between(np.full((32, 32), 50.0), np.full((32, 32), 50.0))
         assert np.array_equal(flow.dx, np.zeros((32, 32)))
         assert np.array_equal(flow.dy, np.zeros((32, 32)))
 
@@ -117,32 +123,24 @@ class TestPyramidReuse:
         a = smooth_texture(12, shape=shape, sigma=2.0)
         b = np.roll(a, (1, 2), axis=(0, 1)) + rng.normal(size=shape)
         ref_dx, ref_dy = flow_per_pair(a, b, params)
-        from_images = estimate_flow(a, b, params)
-        from_pyramids = estimate_flow(expand_pyramid(a, params),
-                                      expand_pyramid(b, params), params)
-        for flow in (from_images, from_pyramids):
-            assert np.array_equal(flow.dx, ref_dx)
-            assert np.array_equal(flow.dy, ref_dy)
+        flow = estimate_flow(expand_pyramid(a, params), expand_pyramid(b, params), params)
+        assert np.array_equal(flow.dx, ref_dx)
+        assert np.array_equal(flow.dy, ref_dy)
 
     def test_level_dropping(self):
         assert len(expand_pyramid(np.zeros((64, 64)))) == 3
         assert len(expand_pyramid(np.zeros((18, 23)))) == 2
         assert len(expand_pyramid(np.zeros((9, 40)))) == 1
 
-    def test_mixed_pyramid_and_image_inputs(self):
-        img, moved = shifted_pair(5, (2, -1))
-        ref_dx, ref_dy = flow_per_pair(img, moved, FlowParams())
-        for prev, nxt in [(expand_pyramid(img), moved), (img, expand_pyramid(moved))]:
-            flow = estimate_flow(prev, nxt, FlowParams())
-            assert np.array_equal(flow.dx, ref_dx)
-            assert np.array_equal(flow.dy, ref_dy)
-
     def test_pyramid_shape_mismatch_rejected(self):
+        params = FlowParams()
         with pytest.raises(ValueError):
             estimate_flow(expand_pyramid(np.zeros((32, 32))),
-                          expand_pyramid(np.zeros((32, 33))))
-        with pytest.raises(ValueError):
-            estimate_flow(expand_pyramid(np.zeros((32, 32))), np.zeros((33, 32)))
+                          expand_pyramid(np.zeros((32, 33))), params)
+        with pytest.raises(ValueError):  # pyramids built with different level counts
+            estimate_flow(expand_pyramid(np.zeros((32, 32))),
+                          expand_pyramid(np.zeros((32, 32)), FlowParams(pyramid_levels=2)),
+                          params)
 
 
 class TestMagnitudeStats:
@@ -161,40 +159,46 @@ class TestMagnitudeStats:
         assert magnitude_stats(FlowField(np.zeros((8, 8)), np.zeros((8, 8)))) == (0.0, 0.0)
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            magnitude_stats(FlowField(np.zeros((4, 4)), np.zeros((4, 4))),
-                            np.zeros((4, 4), dtype=bool))
+        # a box between two integer columns covers no pixel: motion_step
+        # gives a gap instead of statistics over an empty field
+        flow = FlowField(np.ones((4, 4)), np.ones((4, 4)))
+        assert pixel_span(BoundingBox(1.2, 0, 0.5, 4), 4, 4) is None
+        assert motion_step(flow, BoundingBox(1.2, 0, 0.5, 4), [], 0.0).gap
 
     def test_mask_permutation_invariant(self):
         rng = np.random.default_rng(5)
         flow = FlowField(rng.normal(size=(10, 10)), rng.normal(size=(10, 10)))
-        mask = rng.random((10, 10)) < 0.5
-        mean, std = magnitude_stats(flow, mask)
-        # permute the selected pixels among themselves
-        idx = np.nonzero(mask)
-        perm = rng.permutation(len(idx[0]))
-        dx2, dy2 = flow.dx.copy(), flow.dy.copy()
-        dx2[idx] = flow.dx[idx][perm]
-        dy2[idx] = flow.dy[idx][perm]
-        mean2, std2 = magnitude_stats(FlowField(dx2, dy2), mask)
+        mean, std = magnitude_stats(flow)
+        # permute the pixels of the field among themselves
+        perm = rng.permutation(100)
+        shuffled = FlowField(flow.dx.ravel()[perm].reshape(10, 10),
+                             flow.dy.ravel()[perm].reshape(10, 10))
+        mean2, std2 = magnitude_stats(shuffled)
         assert mean2 == pytest.approx(mean, abs=1e-12)
         assert std2 == pytest.approx(std, abs=1e-12)
+
+
+def masked(flow, patient, workers):
+    """`mask_worker_regions` over the patient's own pixel span, and that span."""
+    span = pixel_span(patient, flow.width, flow.height)
+    return mask_worker_regions(flow, patient, span, workers), span
 
 
 class TestMaskWorkerRegions:
     def test_no_workers_identity(self):
         rng = np.random.default_rng(6)
         flow = FlowField(rng.normal(size=(20, 20)), rng.normal(size=(20, 20)))
-        out = mask_worker_regions(flow, BoundingBox(2, 2, 10, 10), [])
-        assert np.array_equal(out.dx, flow.dx)
-        assert np.array_equal(out.dy, flow.dy)
+        out, span = masked(flow, BoundingBox(2, 2, 10, 10), [])
+        assert np.array_equal(out.dx, flow.dx[span])
+        assert np.array_equal(out.dy, flow.dy[span])
 
     def test_full_cover_zeroes_patient(self):
         flow = FlowField(np.ones((20, 20)), np.ones((20, 20)))
-        patient = BoundingBox(4, 4, 8, 8)
-        out = mask_worker_regions(flow, patient, [BoundingBox(0, 0, 20, 20)])
-        assert np.all(out.dx[4:12, 4:12] == 0.0)
-        assert np.all(out.dx[0:4, :] == 1.0)
+        out, _ = masked(flow, BoundingBox(4, 4, 8, 8), [BoundingBox(0, 0, 20, 20)])
+        # the result is the patient's 8x8 span only, all of it zeroed
+        assert out.dx.shape == (8, 8)
+        assert np.all(out.dx == 0.0) and np.all(out.dy == 0.0)
+        assert np.all(flow.dx == 1.0)  # the input field is left as it was
 
     def test_partial_overlap_matches_raster_oracle(self):
         rng = np.random.default_rng(7)
@@ -205,22 +209,24 @@ class TestMaskWorkerRegions:
             workers = [BoundingBox(int(rng.integers(0, 24)), int(rng.integers(0, 24)),
                                    int(rng.integers(2, 8)), int(rng.integers(2, 8)))
                        for _ in range(2)]
-            out = mask_worker_regions(flow, patient, workers)
+            out, span = masked(flow, patient, workers)
             pm = raster_mask(patient, 32, 32)
             wm = np.zeros_like(pm)
             for w in workers:
                 wm |= raster_mask(w, 32, 32)
-            zeroed = pm & wm
+            assert np.array_equal(pm[span], np.ones(out.dx.shape, dtype=bool))
+            zeroed = (pm & wm)[span]
             assert np.all(out.dx[zeroed] == 0.0)
             assert np.all(out.dy[zeroed] == 0.0)
-            assert np.array_equal(out.dx[~zeroed], flow.dx[~zeroed])
+            assert np.array_equal(out.dx[~zeroed], flow.dx[span][~zeroed])
+            assert np.array_equal(out.dy[~zeroed], flow.dy[span][~zeroed])
 
     def test_idempotent_and_nonincreasing(self):
         rng = np.random.default_rng(8)
         flow = FlowField(rng.normal(size=(24, 24)), rng.normal(size=(24, 24)))
-        patient = BoundingBox(4, 4, 12, 12)
-        workers = [BoundingBox(10, 2, 8, 8)]
-        once = mask_worker_regions(flow, patient, workers)
-        twice = mask_worker_regions(once, patient, workers)
+        once, span = masked(flow, BoundingBox(4, 4, 12, 12), [BoundingBox(10, 2, 8, 8)])
+        # the same boxes in the coordinates of the 12x12 span
+        twice, _ = masked(once, BoundingBox(0, 0, 12, 12), [BoundingBox(6, -2, 8, 8)])
         assert np.array_equal(once.dx, twice.dx)
-        assert np.all(once.magnitude() <= flow.magnitude() + 1e-15)
+        assert np.array_equal(once.dy, twice.dy)
+        assert np.all(once.magnitude() <= np.hypot(flow.dx, flow.dy)[span] + 1e-15)

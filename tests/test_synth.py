@@ -9,7 +9,7 @@ from wardflow.analytics import motion_step
 from wardflow.boxes import BoundingBox, FrameDetections
 from wardflow.detect import blob_detect
 from wardflow.evaluation import counting_accuracy
-from wardflow.flow import estimate_flow
+from wardflow.flow import estimate_flow, expand_pyramid
 from wardflow.frames import auto_window, normalize_to_gray, write_npy_frame
 from wardflow.pipeline import SessionConfig, analyze_session
 from wardflow.synth import (ActorScript, Keyframe, Scenario, export_session,
@@ -167,11 +167,11 @@ class TestMotionEngine:
         frames, dets = self.make_session()
         config = SessionConfig()
         window = auto_window(frames[0])
-        grays = [normalize_to_gray(f, *window) for f in frames]
+        pyramids = [expand_pyramid(normalize_to_gray(f, *window), config.flow) for f in frames]
         expected = {}
         for k in range(1, len(frames)):
             if k not in self.GAPS:
-                flow = estimate_flow(grays[k - 1], grays[k], config.flow)
+                flow = estimate_flow(pyramids[k - 1], pyramids[k], config.flow)
                 workers = [d.box for d in dets[k].workers(config.conf_min)]
                 patient = dets[k].best_patient(config.conf_min).box
                 expected[k] = motion_step(flow, patient, workers, dets[k].timestamp).raw
