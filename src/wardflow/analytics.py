@@ -179,27 +179,3 @@ def read_riker_csv(text: str) -> list[RikerRecord]:
             raise FormatError(f"bad record {row!r}: {exc}", line=lineno) from exc
     return records
 
-
-def report_to_dict(report: SessionReport) -> dict:
-    """Stable JSON layout for report files."""
-    return {
-        "nursing_time_s": report.nursing_time_s,
-        "interaction_time_s": report.interaction_time_s,
-        "per_second_worker_counts": report.per_second_worker_counts,
-        "events": [
-            {"t": e.timestamp, "ratio": e.overlap_ratio,
-             "patient_box": [e.patient_box.x, e.patient_box.y, e.patient_box.w, e.patient_box.h],
-             "worker_box": [e.worker_box.x, e.worker_box.y, e.worker_box.w, e.worker_box.h]}
-            for e in report.events
-        ],
-        "motion": [
-            {"t": s.timestamp, "raw": s.raw, "smoothed": s.smoothed}
-            for s in report.motion
-        ],
-        "riker": [
-            {"score": g.score, "mean": g.mean, "q25": g.q25,
-             "q50": g.q50, "q75": g.q75, "n": g.n}
-            for g in report.riker
-        ],
-        "gaps": report.gaps,
-    }

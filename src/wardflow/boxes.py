@@ -26,8 +26,9 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"box extent must be positive, got w={self.w}, h={self.h}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and 0 < self.w < math.inf and 0 < self.h < math.inf):
+            raise ValueError(f"box needs finite values and a positive extent, got {self}")
 
     @property
     def right(self) -> float:

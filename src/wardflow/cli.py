@@ -14,11 +14,11 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .analytics import count_workers, interaction_time, read_riker_csv, report_to_dict
+from .analytics import SessionReport, count_workers, interaction_time, read_riker_csv
 from .boxes import BoundingBox, FrameDetections, match_detections
 from .detect import blob_detect, parse_detections_jsonl
 from .errors import FormatError, UnsupportedError, ValidationError
-from .evaluation import (DEFAULT_IOU_THRESHOLDS, counting_accuracy,
+from .evaluation import (DEFAULT_IOU_THRESHOLDS, APTable, counting_accuracy,
                          format_duration, mean_ap, time_error)
 from .flow import FlowParams
 from .frames import ThermalFrame, load_manifest, load_sequence
@@ -32,10 +32,98 @@ EXIT_SCHEMA = 3
 EXIT_CONFIG = 4
 
 
-def _write_atomic(path: Path, data: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    """Create `out` and write each file whole: to a ".tmp" name, then renamed."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        tmp = out / (name + ".tmp")
+        tmp.write_text(text)
+        os.replace(tmp, out / name)
+
+
+def _csv(header: str, rows: list[str]) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _box_fields(b: BoundingBox) -> list[float]:
+    return [b.x, b.y, b.w, b.h]
+
+
+def _time_table(name: str, predicted: float, label: float) -> str:
+    """A predicted/label/error time table, in h/m/s."""
+    cells = [format_duration(v) for v in (predicted, label, time_error(predicted, label))]
+    return _csv("video,predicted,label,error", [",".join([name, *cells])])
+
+
+def _time_json(predicted: float, label: float) -> dict[str, float]:
+    return {"predicted_s": predicted, "label_s": label, "error_s": time_error(predicted, label)}
+
+
+def _analyze_files(report: SessionReport, ts: list[float]) -> dict[str, str]:
+    """Every file `analyze` writes, by name; `ts` are the frame times."""
+    doc = {
+        "nursing_time_s": report.nursing_time_s,
+        "interaction_time_s": report.interaction_time_s,
+        "per_second_worker_counts": report.per_second_worker_counts,
+        "events": [{"t": e.timestamp, "ratio": e.overlap_ratio,
+                    "patient_box": _box_fields(e.patient_box),
+                    "worker_box": _box_fields(e.worker_box)} for e in report.events],
+        "motion": [{"t": s.timestamp, "raw": s.raw, "smoothed": s.smoothed}
+                   for s in report.motion],
+        "riker": [{"score": g.score, "mean": g.mean, "q25": g.q25, "q50": g.q50,
+                   "q75": g.q75, "n": g.n} for g in report.riker],
+        "gaps": report.gaps,
+    }
+    events = [[repr(e.timestamp), repr(e.overlap_ratio),
+               ":".join(map(str, _box_fields(e.patient_box))),
+               ":".join(map(str, _box_fields(e.worker_box)))] for e in report.events]
+    files = {
+        "report.json": json.dumps(doc, indent=2) + "\n",
+        "motion.csv": _csv("t,raw,smoothed", [f"{s.timestamp!r},{s.raw!r},{s.smoothed!r}"
+                                              for s in report.motion]),
+        "events.csv": _csv("t,ratio,patient_box,worker_box", [",".join(e) for e in events]),
+        "activity.svg": render_chart([
+            Panel("Workers per second", [Series(
+                "workers", ts, [float(c) for c in report.per_second_worker_counts], step=True)]),
+            Panel("Physical interaction per second", [Series(
+                "interaction", ts, [float(v) for v in report.per_second_interaction],
+                step=True)]),
+        ]),
+    }
+    if report.motion:
+        mt = [s.timestamp for s in report.motion]
+        files["motion.svg"] = render_chart([Panel("Patient motion over time", [
+            Series("raw", mt, [s.raw for s in report.motion]),
+            Series("smoothed", mt, [s.smoothed for s in report.motion])])])
+    return files
+
+
+def _eval_files(table: APTable, name: str, worker_acc: float, pi_acc: float,
+                nursing: tuple[float, float], interaction: tuple[float, float]) -> dict[str, str]:
+    """Every file `eval` writes, by name; `nursing` and `interaction` are
+    (predicted, label) seconds, and `name` labels the table rows."""
+    map_rows = [f"mAP@{thr:g}," + ",".join(f"{row[thr]:.4f}" for row in table.per_class.values())
+                + "," for thr in table.thresholds]
+    averages = ",".join(f"{v:.4f}" for v in table.class_averages.values())
+    overall = f"{table.overall:.4f}" if table.overall is not None else ""
+    return {
+        "map.csv": _csv("metric,patient,worker,overall",
+                        [*map_rows, f"average,{averages},{overall}"]),
+        "accuracy.csv": _csv("video,worker_counting,interaction_counting",
+                             [f"{name},{worker_acc:.4f},{pi_acc:.4f}"]),
+        "nursing_time.csv": _time_table(name, *nursing),
+        "interaction_time.csv": _time_table(name, *interaction),
+        "eval.json": json.dumps({
+            "map": {c.value: {f"{t:g}": row[t] for t in table.thresholds}
+                    for c, row in table.per_class.items()},
+            "map_class_averages": {c.value: v for c, v in table.class_averages.items()},
+            "map_overall": table.overall,
+            "worker_counting_accuracy": worker_acc,
+            "interaction_counting_accuracy": pi_acc,
+            "nursing_time": _time_json(*nursing),
+            "interaction_time": _time_json(*interaction),
+        }, indent=2) + "\n",
+    }
 
 
 def _parse_box(text: str) -> BoundingBox:
@@ -133,40 +221,7 @@ def _cmd_analyze(args) -> int:
     report = analyze_session(frames, dets, config, riker,
                              compute_motion=not args.no_motion, timeline=manifest.frames)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "report.json",
-                  json.dumps(report_to_dict(report), indent=2) + "\n")
-    motion_rows = ["t,raw,smoothed"]
-    motion_rows += [f"{s.timestamp!r},{s.raw!r},{s.smoothed!r}" for s in report.motion]
-    _write_atomic(out / "motion.csv", "\n".join(motion_rows) + "\n")
-    event_rows = ["t,ratio,patient_box,worker_box"]
-    event_rows += [
-        f"{e.timestamp!r},{e.overlap_ratio!r},"
-        f"{e.patient_box.x}:{e.patient_box.y}:{e.patient_box.w}:{e.patient_box.h},"
-        f"{e.worker_box.x}:{e.worker_box.y}:{e.worker_box.w}:{e.worker_box.h}"
-        for e in report.events
-    ]
-    _write_atomic(out / "events.csv", "\n".join(event_rows) + "\n")
-
-    ts = [e.timestamp for e in manifest.frames]
-    panels = [
-        Panel("Workers per second",
-              [Series("workers", ts, [float(c) for c in report.per_second_worker_counts],
-                      step=True)], x_label="time (s)"),
-        Panel("Physical interaction per second",
-              [Series("interaction", ts, [float(v) for v in report.per_second_interaction],
-                      step=True)],
-              x_label="time (s)"),
-    ]
-    _write_atomic(out / "activity.svg", render_chart(panels))
-    if report.motion:
-        mt = [s.timestamp for s in report.motion]
-        motion_panels = [Panel("Patient motion over time",
-                               [Series("raw", mt, [s.raw for s in report.motion]),
-                                Series("smoothed", mt, [s.smoothed for s in report.motion])],
-                               x_label="time (s)")]
-        _write_atomic(out / "motion.svg", render_chart(motion_panels))
+    _write_files(Path(args.out), _analyze_files(report, [e.timestamp for e in manifest.frames]))
     print(f"nursing_time_s={report.nursing_time_s} "
           f"interaction_time_s={report.interaction_time_s} "
           f"events={len(report.events)}")
@@ -188,59 +243,18 @@ def _cmd_eval(args) -> int:
     dets = _load_detections_file(args.dets)
     gts = _load_detections_file(args.gt)
 
-    table = mean_ap(dets, gts, thresholds)
-    pred_counts, pred_pi = _per_second_series(match_detections(gts, dets),
-                                              config.conf_min, config.tau)
+    preds = match_detections(gts, dets)
+    table = mean_ap(preds, gts, thresholds)
+    pred_counts, pred_pi = _per_second_series(preds, config.conf_min, config.tau)
     label_counts, label_pi = _per_second_series(gts, config.conf_min, config.tau)
     worker_acc = counting_accuracy(pred_counts, label_counts)
     pi_acc = counting_accuracy(pred_pi, label_pi)
-    pred_nursing = sum(pred_counts) * config.dt
-    label_nursing = sum(label_counts) * config.dt
-    pred_inter = sum(pred_pi) * config.dt
-    label_inter = sum(label_pi) * config.dt
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = ["metric,patient,worker,overall"]
-    classes = list(table.per_class)
-    for thr in thresholds:
-        cells = ",".join(f"{table.per_class[c][thr]:.4f}" if c in table.per_class else ""
-                         for c in classes)
-        rows.append(f"mAP@{thr:g},{cells},")
-    avg_cells = ",".join(f"{table.class_averages[c]:.4f}" for c in classes)
-    overall = f"{table.overall:.4f}" if table.overall is not None else ""
-    rows.append(f"average,{avg_cells},{overall}")
-    _write_atomic(out / "map.csv", "\n".join(rows) + "\n")
-
-    _write_atomic(out / "accuracy.csv",
-                  "video,worker_counting,interaction_counting\n"
-                  f"{args.name},{worker_acc:.4f},{pi_acc:.4f}\n")
-    _write_atomic(out / "nursing_time.csv",
-                  "video,predicted,label,error\n"
-                  f"{args.name},{format_duration(pred_nursing)},"
-                  f"{format_duration(label_nursing)},"
-                  f"{format_duration(time_error(pred_nursing, label_nursing))}\n")
-    _write_atomic(out / "interaction_time.csv",
-                  "video,predicted,label,error\n"
-                  f"{args.name},{format_duration(pred_inter)},"
-                  f"{format_duration(label_inter)},"
-                  f"{format_duration(time_error(pred_inter, label_inter))}\n")
-    _write_atomic(out / "eval.json", json.dumps({
-        "map": {c.value: {f"{t:g}": table.per_class[c][t] for t in thresholds}
-                for c in table.per_class},
-        "map_class_averages": {c.value: v for c, v in table.class_averages.items()},
-        "map_overall": table.overall,
-        "worker_counting_accuracy": worker_acc,
-        "interaction_counting_accuracy": pi_acc,
-        "nursing_time": {"predicted_s": pred_nursing, "label_s": label_nursing,
-                         "error_s": time_error(pred_nursing, label_nursing)},
-        "interaction_time": {"predicted_s": pred_inter, "label_s": label_inter,
-                             "error_s": time_error(pred_inter, label_inter)},
-    }, indent=2) + "\n")
-    if table.overall is not None:
-        print(f"mAP={table.overall:.4f} worker_acc={worker_acc:.4f} pi_acc={pi_acc:.4f}")
-    else:
-        print(f"worker_acc={worker_acc:.4f} pi_acc={pi_acc:.4f}")
+    _write_files(Path(args.out), _eval_files(
+        table, args.name, worker_acc, pi_acc,
+        nursing=(sum(pred_counts) * config.dt, sum(label_counts) * config.dt),
+        interaction=(sum(pred_pi) * config.dt, sum(label_pi) * config.dt)))
+    overall = f"mAP={table.overall:.4f} " if table.overall is not None else ""
+    print(f"{overall}worker_acc={worker_acc:.4f} pi_acc={pi_acc:.4f}")
     return EXIT_OK
 
 

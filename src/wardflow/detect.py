@@ -71,8 +71,6 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
             try:
                 conf = float(d.get("conf", 1.0))
                 x, y, w, h = (float(v) for v in d["box"])
-                if not all(math.isfinite(v) for v in (x, y, w, h)):
-                    raise ValueError("box values must be finite")
                 box = BoundingBox(x, y, w, h)
                 det = Detection(box, cls, conf)
             except (KeyError, TypeError, ValueError) as exc:
@@ -118,8 +116,9 @@ def blob_detect(
     labelled patient, all others worker; without a configured bed the
     frame center is used.
     """
-    if min_area < 1:
-        raise ValueError("min_area must be >= 1")
+    if not (math.isfinite(min_temp) and 1 <= min_area < math.inf):
+        raise ValueError(f"need a finite min_temp and a finite min_area >= 1, "
+                         f"got {min_temp} and {min_area}")
     mask = frame.temps >= min_temp
     labels, count = ndimage.label(mask, structure=_CROSS)
     if count == 0:

@@ -9,7 +9,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .boxes import FrameDetections, ObjectClass, iou, match_detections
+from .boxes import FrameDetections, ObjectClass, iou
 
 DEFAULT_IOU_THRESHOLDS = (0.5, 0.7, 0.9)
 
@@ -36,16 +36,19 @@ def average_precision(dets: list[FrameDetections], gts: list[FrameDetections],
                       cls: ObjectClass, iou_thresh: float) -> APResult:
     """All-points-interpolated AP for one class at one IoU threshold.
 
-    Detections are ranked by descending confidence (stable) and matched
-    greedily one-to-one against same-frame ground truths: each takes
-    the unmatched truth of highest IoU >= threshold; extra hits on an
+    `dets` must be aligned with `gts`: `dets[i]` holds the predictions
+    for the frame of `gts[i]`, as `match_detections(gts, dets)` returns
+    them, and lists of different lengths raise ValueError.  Detections
+    are ranked by descending confidence (stable) and matched greedily
+    one-to-one against same-frame ground truths: each takes the
+    unmatched truth of highest IoU >= threshold; extra hits on an
     already-matched truth count as false positives.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError("iou_thresh must be in (0, 1)")
     ranked = []  # (conf, frame_idx, box), stable under sort
     gt_boxes = []
-    for fi, (pred, truth) in enumerate(zip(match_detections(gts, dets), gts)):
+    for fi, (pred, truth) in enumerate(zip(dets, gts, strict=True)):
         for d in pred.detections:
             if d.cls == cls:
                 ranked.append((d.confidence, fi, d.box))
@@ -96,8 +99,9 @@ def mean_ap(dets: list[FrameDetections], gts: list[FrameDetections],
             thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS) -> APTable:
     """AP per class per threshold, class averages, and the grand mean.
 
-    Classes with no ground truth are excluded from the table with a
-    warning rather than counted as zero.
+    `dets` is aligned with `gts` as for `average_precision`.  Classes
+    with no ground truth are excluded from the table with a warning
+    rather than counted as zero.
     """
     if not thresholds:
         raise ValueError("need at least one IoU threshold")

@@ -2,15 +2,15 @@
 and the sequence manifest that carries per-frame timestamps.
 
 Only a strict NPY subset is supported: version 1.0, C-order, 2-D
-little-endian float32/float64. Everything else is rejected rather than
-guessed at.
+little-endian float32/float64, with the header written as numpy writes
+it. Everything else is rejected rather than guessed at.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 import math
+import re
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -21,6 +21,12 @@ import numpy as np
 from .errors import FormatError, UnsupportedError, ValidationError
 
 NPY_MAGIC = b"\x93NUMPY"
+# The header dict as numpy writes it (sorted keys, repr values), padded
+# with spaces and a newline.  A regex, not `ast.literal_eval`, which
+# compiles per frame and leaves reference cycles for the collector.
+_NPY_HEADER = re.compile(r"\{'descr': '([^']*)', 'fortran_order': (True|False), "
+                         r"'shape': \(([^)]*)\), \}\s*")
+_NPY_2D_SHAPE = re.compile(r"([1-9]\d*), ([1-9]\d*)")
 
 # Plausible clinical range for a ward thermal camera, in Celsius.
 TEMP_MIN = -20.0
@@ -70,22 +76,18 @@ def read_npy_frame(data: bytes, timestamp: float = 0.0) -> ThermalFrame:
     header_end = 10 + header_len
     if len(data) < header_end:
         raise FormatError("truncated NPY header")
-    try:
-        header = ast.literal_eval(data[10:header_end].decode("latin1"))
-    except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
-        raise FormatError(f"unparseable NPY header: {exc}") from exc
-    if not isinstance(header, dict) or not {"descr", "fortran_order", "shape"} <= header.keys():
-        raise FormatError("NPY header missing descr/fortran_order/shape")
-    descr = header["descr"]
+    header = _NPY_HEADER.fullmatch(data[10:header_end].decode("latin1"))
+    if header is None:
+        raise FormatError("NPY header is not a descr/fortran_order/shape dict")
+    descr, fortran_order, shape = header.groups()
     if descr not in ("<f4", "<f8"):
         raise UnsupportedError(f"dtype {descr!r} not supported (need <f4 or <f8)")
-    if header["fortran_order"]:
+    if fortran_order == "True":
         raise UnsupportedError("Fortran-order arrays not supported")
-    shape = header["shape"]
-    if not (isinstance(shape, tuple) and len(shape) == 2
-            and all(isinstance(n, int) and n > 0 for n in shape)):
-        raise UnsupportedError(f"need a 2-D shape of positive ints, got {shape!r}")
-    h, w = shape
+    dims = _NPY_2D_SHAPE.fullmatch(shape)
+    if dims is None:
+        raise UnsupportedError(f"need a 2-D shape of positive ints, got ({shape})")
+    h, w = int(dims[1]), int(dims[2])
     itemsize = int(descr[2])
     expected = h * w * itemsize
     payload = data[header_end:header_end + expected]

@@ -13,6 +13,7 @@ MARGIN_LEFT = 55
 MARGIN_RIGHT = 15
 MARGIN_TOP = 30
 MARGIN_BOTTOM = 35
+X_LABEL = "time (s)"
 
 
 @dataclass
@@ -27,7 +28,6 @@ class Series:
 class Panel:
     title: str
     series: list[Series] = field(default_factory=list)
-    x_label: str = ""
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -96,10 +96,9 @@ def _render_panel(panel: Panel, y_offset: int) -> list[str]:
                      f'x2="{MARGIN_LEFT}" y2="{py(ty):.1f}" stroke="#333"/>')
         parts.append(f'<text x="{MARGIN_LEFT - 7}" y="{py(ty) + 3:.1f}" font-size="10" '
                      f'text-anchor="end" font-family="sans-serif">{_fmt(ty)}</text>')
-    if panel.x_label:
-        parts.append(f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{top + plot_h + 30}" '
-                     f'font-size="11" text-anchor="middle" font-family="sans-serif">'
-                     f'{panel.x_label}</text>')
+    parts.append(f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{top + plot_h + 30}" '
+                 f'font-size="11" text-anchor="middle" font-family="sans-serif">'
+                 f'{X_LABEL}</text>')
     for i, series in enumerate(panel.series):
         color = _COLORS[i % len(_COLORS)]
         pts = []

@@ -4,13 +4,19 @@ These deliberately avoid the library's fast paths: rasterized pixel
 sets for box geometry, flood fill for components, dense least squares
 for the polynomial fit, naive PR enumeration for AP, the per-pair flow
 arithmetic with no shared passes, and the motion statistics taken over
-the whole frame through a boolean region.
+the whole frame through a boolean region.  The output files of
+`analyze` and `eval` are formatted here line by line, field by field.
 """
+
+import json
 
 import numpy as np
 from scipy import ndimage
 
-from wardflow.boxes import BoundingBox, intersection_area, iou, pixel_span
+from wardflow.analytics import count_workers, interaction_time
+from wardflow.boxes import BoundingBox, intersection_area, iou, match_detections, pixel_span
+from wardflow.evaluation import counting_accuracy, format_duration, mean_ap, time_error
+from wardflow.svgplot import Panel, Series, render_chart
 from wardflow.flow import _COND_LIMIT, _MIN_EIG, _gaussian_kernel, _resize
 
 
@@ -229,3 +235,115 @@ def ap_bruteforce(pred_frames, gt_frames, cls, thr):
             ap += (recall - prev_r) * max(p for _, p in points[k:])
             prev_r = recall
     return ap
+
+
+def report_to_dict(report):
+    """Stable JSON layout for report files."""
+    return {
+        "nursing_time_s": report.nursing_time_s,
+        "interaction_time_s": report.interaction_time_s,
+        "per_second_worker_counts": report.per_second_worker_counts,
+        "events": [
+            {"t": e.timestamp, "ratio": e.overlap_ratio,
+             "patient_box": [e.patient_box.x, e.patient_box.y, e.patient_box.w, e.patient_box.h],
+             "worker_box": [e.worker_box.x, e.worker_box.y, e.worker_box.w, e.worker_box.h]}
+            for e in report.events
+        ],
+        "motion": [
+            {"t": s.timestamp, "raw": s.raw, "smoothed": s.smoothed}
+            for s in report.motion
+        ],
+        "riker": [
+            {"score": g.score, "mean": g.mean, "q25": g.q25,
+             "q50": g.q50, "q75": g.q75, "n": g.n}
+            for g in report.riker
+        ],
+        "gaps": report.gaps,
+    }
+
+
+def analyze_files(report, ts):
+    """{file name: text} of every file `analyze` writes for `report`,
+    with `ts` the manifest's frame times."""
+    files = {"report.json": json.dumps(report_to_dict(report), indent=2) + "\n"}
+    motion_rows = ["t,raw,smoothed"]
+    motion_rows += [f"{s.timestamp!r},{s.raw!r},{s.smoothed!r}" for s in report.motion]
+    files["motion.csv"] = "\n".join(motion_rows) + "\n"
+    event_rows = ["t,ratio,patient_box,worker_box"]
+    event_rows += [
+        f"{e.timestamp!r},{e.overlap_ratio!r},"
+        f"{e.patient_box.x}:{e.patient_box.y}:{e.patient_box.w}:{e.patient_box.h},"
+        f"{e.worker_box.x}:{e.worker_box.y}:{e.worker_box.w}:{e.worker_box.h}"
+        for e in report.events
+    ]
+    files["events.csv"] = "\n".join(event_rows) + "\n"
+    panels = [
+        Panel("Workers per second",
+              [Series("workers", ts, [float(c) for c in report.per_second_worker_counts],
+                      step=True)]),
+        Panel("Physical interaction per second",
+              [Series("interaction", ts, [float(v) for v in report.per_second_interaction],
+                      step=True)]),
+    ]
+    files["activity.svg"] = render_chart(panels)
+    if report.motion:
+        mt = [s.timestamp for s in report.motion]
+        motion_panels = [Panel("Patient motion over time",
+                               [Series("raw", mt, [s.raw for s in report.motion]),
+                                Series("smoothed", mt, [s.smoothed for s in report.motion])])]
+        files["motion.svg"] = render_chart(motion_panels)
+    return files
+
+
+def eval_files(dets, gts, thresholds, name, conf_min, tau, dt):
+    """{file name: text} of every file `eval` writes."""
+    def per_second_series(frames):
+        return ([count_workers(f, conf_min) for f in frames],
+                interaction_time(frames, tau, conf_min).indicators)
+
+    preds = match_detections(gts, dets)
+    table = mean_ap(preds, gts, thresholds)
+    pred_counts, pred_pi = per_second_series(preds)
+    label_counts, label_pi = per_second_series(gts)
+    worker_acc = counting_accuracy(pred_counts, label_counts)
+    pi_acc = counting_accuracy(pred_pi, label_pi)
+    pred_nursing = sum(pred_counts) * dt
+    label_nursing = sum(label_counts) * dt
+    pred_inter = sum(pred_pi) * dt
+    label_inter = sum(label_pi) * dt
+
+    files = {}
+    rows = ["metric,patient,worker,overall"]
+    classes = list(table.per_class)
+    for thr in thresholds:
+        cells = ",".join(f"{table.per_class[c][thr]:.4f}" if c in table.per_class else ""
+                         for c in classes)
+        rows.append(f"mAP@{thr:g},{cells},")
+    avg_cells = ",".join(f"{table.class_averages[c]:.4f}" for c in classes)
+    overall = f"{table.overall:.4f}" if table.overall is not None else ""
+    rows.append(f"average,{avg_cells},{overall}")
+    files["map.csv"] = "\n".join(rows) + "\n"
+
+    files["accuracy.csv"] = ("video,worker_counting,interaction_counting\n"
+                             f"{name},{worker_acc:.4f},{pi_acc:.4f}\n")
+    files["nursing_time.csv"] = ("video,predicted,label,error\n"
+                                 f"{name},{format_duration(pred_nursing)},"
+                                 f"{format_duration(label_nursing)},"
+                                 f"{format_duration(time_error(pred_nursing, label_nursing))}\n")
+    files["interaction_time.csv"] = ("video,predicted,label,error\n"
+                                     f"{name},{format_duration(pred_inter)},"
+                                     f"{format_duration(label_inter)},"
+                                     f"{format_duration(time_error(pred_inter, label_inter))}\n")
+    files["eval.json"] = json.dumps({
+        "map": {c.value: {f"{t:g}": table.per_class[c][t] for t in thresholds}
+                for c in table.per_class},
+        "map_class_averages": {c.value: v for c, v in table.class_averages.items()},
+        "map_overall": table.overall,
+        "worker_counting_accuracy": worker_acc,
+        "interaction_counting_accuracy": pi_acc,
+        "nursing_time": {"predicted_s": pred_nursing, "label_s": label_nursing,
+                         "error_s": time_error(pred_nursing, label_nursing)},
+        "interaction_time": {"predicted_s": pred_inter, "label_s": label_inter,
+                             "error_s": time_error(pred_inter, label_inter)},
+    }, indent=2) + "\n"
+    return files

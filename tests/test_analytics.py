@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from oracles import motion_raw_full_frame
 from wardflow.analytics import (MotionSample, RikerRecord, align_riker,
                                 count_workers, interaction_time, motion_step,
                                 physical_interaction, read_riker_csv, relax,
-                                report_to_dict, SessionReport)
+                                SessionReport)
 from wardflow.boxes import (BoundingBox, Detection, FrameDetections, ObjectClass,
                             intersection_area)
+from wardflow.cli import _analyze_files
 from wardflow.errors import FormatError
 from wardflow.flow import FlowField
 from wardflow.pipeline import SessionConfig, analyze_session
@@ -329,7 +332,7 @@ class TestRikerCsv:
 
 def test_report_dict_field_names():
     report = SessionReport(10.0, 4.0, [], [MotionSample(1.0, 0.5, 0.35)], [1, 2])
-    doc = report_to_dict(report)
+    doc = json.loads(_analyze_files(report, [0.0, 1.0])["report.json"])
     assert set(doc) == {"nursing_time_s", "interaction_time_s", "events",
                         "motion", "riker", "gaps", "per_second_worker_counts"}
     assert doc["motion"][0] == {"t": 1.0, "raw": 0.5, "smoothed": 0.35}

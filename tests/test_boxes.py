@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,12 @@ class TestBoundingBox:
             BoundingBox(0, 0, 0, 5)
         with pytest.raises(ValueError):
             BoundingBox(0, 0, 5, -1)
+
+    @pytest.mark.parametrize("fields", [(math.nan, 0, 5, 5), (0, -math.inf, 5, 5),
+                                        (0, 0, math.inf, 5), (0, 0, 5, math.nan)])
+    def test_non_finite_rejected(self, fields):
+        with pytest.raises(ValueError):
+            BoundingBox(*fields)
 
     def test_clamped(self):
         assert BoundingBox(-5, -5, 20, 20).clamped(10, 10) == BoundingBox(0, 0, 10, 10)

@@ -6,8 +6,11 @@ from collections import Counter
 
 import pytest
 
+import wardflow.boxes
 import wardflow.cli
+import wardflow.evaluation
 import wardflow.frames
+import wardflow.pipeline
 from wardflow.cli import main
 from wardflow.detect import parse_detections_jsonl
 from wardflow.frames import load_manifest, load_sequence
@@ -53,6 +56,13 @@ class TestSynth:
                      "--seed", "3", "--out", str(out2)]) == 0
         for name in ["manifest.json", "truth_dets.jsonl", "frame_00003.npy"]:
             assert (session / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_non_finite_keyframe_exit_3(self, tmp_path):
+        scenario_path = tmp_path / "nan.json"
+        scenario_path.write_text(json.dumps(dict(SCENARIO, patient={
+            "keyframes": [{"t": 0, "box": [float("nan"), 20, 24, 30]}]})))
+        assert main(["synth", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "o")]) == 3
 
     def test_missing_scenario_exit_2(self, tmp_path):
         assert main(["synth", "--scenario", str(tmp_path / "nope.json"),
@@ -220,6 +230,14 @@ class TestAnalyze:
                                         "--alpha=nan", "--window=nan,40", "--window=20,inf"])
     def test_non_finite_setting_exit_4(self, session, tmp_path, option):
         assert run_analyze(session, tmp_path / "o", ["--no-motion", option]) == 4
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("option", ["--blob-min-temp=nan", "--blob-min-area=nan",
+                                        "--blob-min-area=inf", "--bed=nan,0,5,5",
+                                        "--bed=0,0,inf,5"])
+    def test_non_finite_blob_setting_exit_4(self, session, tmp_path, option):
+        assert main(["analyze", "--manifest", str(session / "manifest.json"), "--blob",
+                     "--no-motion", option, "--out", str(tmp_path / "o")]) == 4
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
@@ -437,6 +455,21 @@ class TestEval:
                      "--gt", str(session / "truth_dets.jsonl"), option,
                      "--out", str(tmp_path / "o")]) == 4
         assert not (tmp_path / "o").exists()
+
+    def test_joins_the_two_files_once(self, session, tmp_path, monkeypatch):
+        calls = []
+        join = wardflow.boxes.match_detections
+
+        def counted(*args):
+            calls.append(args)
+            return join(*args)
+
+        for module in (wardflow.boxes, wardflow.cli, wardflow.evaluation, wardflow.pipeline):
+            if getattr(module, "match_detections", None) is join:
+                monkeypatch.setattr(module, "match_detections", counted)
+        assert main(["eval", "--dets", str(session / "truth_dets.jsonl"),
+                     "--gt", str(session / "truth_dets.jsonl"), "--out", str(tmp_path / "e")]) == 0
+        assert len(calls) == 1
 
     def test_bad_thresholds_exit_4(self, session, tmp_path):
         assert main(["eval", "--dets", str(session / "truth_dets.jsonl"),

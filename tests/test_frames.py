@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -71,6 +72,17 @@ class TestReadNpyFrame:
         data = npy_bytes(np.ones((4, 4)) * 20)
         with pytest.raises(FormatError):
             read_npy_frame(data[:-8])
+
+    def test_leaves_no_reference_cycles(self):
+        data = npy_bytes(np.full((3, 4), 20.0))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                read_npy_frame(data)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_roundtrip_bit_identical(self):
         rng = np.random.default_rng(7)
