@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BoundingBox, FrameDetections, area, intersection_area, pixel_span
+from .boxes import BoundingBox, FrameDetections, area, intersection_area
 from .errors import FormatError
 from .flow import FlowField, magnitude_stats, mask_worker_regions
 
@@ -117,17 +117,14 @@ def interaction_time(series: list[FrameDetections], tau: float = 0.1,
     return InteractionSummary(indicators, events, missing)
 
 
-def motion_step(flow: FlowField, patient: BoundingBox, workers: list[BoundingBox],
-                timestamp: float) -> MotionSample:
-    """Unrelaxed motion of one frame: magnitude mean+std over a copy of the
-    patient's pixel span only, with flow inside worker overlaps zeroed.
-    A patient box outside the frame gives a gap sample.
+def motion_step(flow: FlowField, patient: BoundingBox, span: tuple[slice, slice],
+                workers: list[BoundingBox], timestamp: float) -> MotionSample:
+    """Unrelaxed motion of one frame: magnitude mean+std of `flow`, the
+    field over the patient's pixel `span`, with flow inside worker
+    overlaps zeroed.  `patient` is the box clamped to the frame and
+    `span` its `pixel_span`.
     """
-    clamped = patient.clamped(flow.width, flow.height)
-    span = pixel_span(clamped, flow.width, flow.height) if clamped else None
-    if span is None:
-        return MotionSample(timestamp, 0.0, 0.0, gap=True)
-    mean, std = magnitude_stats(mask_worker_regions(flow, clamped, span, workers))
+    mean, std = magnitude_stats(mask_worker_regions(flow, patient, span, workers))
     raw = mean + std
     return MotionSample(timestamp, raw, raw)
 

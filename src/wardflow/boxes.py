@@ -26,9 +26,10 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
+        # the area is checked too: two subnormal sides can multiply to 0
         if not (math.isfinite(self.x) and math.isfinite(self.y)
-                and 0 < self.w < math.inf and 0 < self.h < math.inf):
-            raise ValueError(f"box needs finite values and a positive extent, got {self}")
+                and 0 < self.w < math.inf and 0 < self.h < math.inf and self.w * self.h > 0):
+            raise ValueError(f"box needs finite values and a positive area, got {self}")
 
     @property
     def right(self) -> float:
@@ -46,11 +47,11 @@ class BoundingBox:
         """Clip to [0, width] x [0, height]; None if nothing remains."""
         x0 = max(self.x, 0.0)
         y0 = max(self.y, 0.0)
-        x1 = min(self.right, float(width))
-        y1 = min(self.bottom, float(height))
-        if x1 - x0 <= 0 or y1 - y0 <= 0:
+        w = min(self.right, float(width)) - x0
+        h = min(self.bottom, float(height)) - y0
+        if w <= 0 or h <= 0 or w * h <= 0:
             return None
-        return BoundingBox(x0, y0, x1 - x0, y1 - y0)
+        return BoundingBox(x0, y0, w, h)
 
 
 def area(b: BoundingBox) -> float:

@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .analytics import SessionReport, count_workers, interaction_time, read_riker_csv
-from .boxes import BoundingBox, FrameDetections, match_detections
+from .boxes import BoundingBox, FrameDetections, ObjectClass, match_detections
 from .detect import blob_detect, parse_detections_jsonl
 from .errors import FormatError, UnsupportedError, ValidationError
 from .evaluation import (DEFAULT_IOU_THRESHOLDS, APTable, counting_accuracy,
@@ -102,13 +102,16 @@ def _eval_files(table: APTable, name: str, worker_acc: float, pi_acc: float,
                 nursing: tuple[float, float], interaction: tuple[float, float]) -> dict[str, str]:
     """Every file `eval` writes, by name; `nursing` and `interaction` are
     (predicted, label) seconds, and `name` labels the table rows."""
-    map_rows = [f"mAP@{thr:g}," + ",".join(f"{row[thr]:.4f}" for row in table.per_class.values())
-                + "," for thr in table.thresholds]
-    averages = ",".join(f"{v:.4f}" for v in table.class_averages.values())
+    def cells(by_class: dict[ObjectClass, float]) -> str:
+        """One cell per class column; empty for a class with no ground truth."""
+        return ",".join(f"{by_class[c]:.4f}" if c in by_class else "" for c in ObjectClass)
+
+    map_rows = [f"mAP@{thr:g},{cells({c: row[thr] for c, row in table.per_class.items()})},"
+                for thr in table.thresholds]
     overall = f"{table.overall:.4f}" if table.overall is not None else ""
     return {
-        "map.csv": _csv("metric,patient,worker,overall",
-                        [*map_rows, f"average,{averages},{overall}"]),
+        "map.csv": _csv(f"metric,{','.join(c.value for c in ObjectClass)},overall",
+                        [*map_rows, f"average,{cells(table.class_averages)},{overall}"]),
         "accuracy.csv": _csv("video,worker_counting,interaction_counting",
                              [f"{name},{worker_acc:.4f},{pi_acc:.4f}"]),
         "nursing_time.csv": _time_table(name, *nursing),

@@ -56,7 +56,11 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
         if not (math.isfinite(t) and t >= 0):
             raise FormatError(f"timestamp must be finite and non-negative, got {t}",
                               line=lineno)
-        seen = first_line.setdefault(time_key(t), lineno)
+        try:
+            key = time_key(t)
+        except OverflowError:
+            raise FormatError(f"timestamp {t} is too large to join on", line=lineno) from None
+        seen = first_line.setdefault(key, lineno)
         if seen != lineno:
             raise FormatError(f"timestamp {t} repeats line {seen}", line=lineno)
         if not isinstance(obj["dets"], list):
@@ -65,9 +69,10 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
         for d in obj["dets"]:
             if not isinstance(d, dict):
                 raise FormatError(f"detection must be an object, got {d!r}", line=lineno)
-            cls = _CLASS_NAMES.get(d.get("cls"))
+            name = d.get("cls")
+            cls = _CLASS_NAMES.get(name) if isinstance(name, str) else None
             if cls is None:
-                raise FormatError(f"unknown class {d.get('cls')!r}", line=lineno)
+                raise FormatError(f"unknown class {name!r}", line=lineno)
             try:
                 conf = float(d.get("conf", 1.0))
                 x, y, w, h = (float(v) for v in d["box"])

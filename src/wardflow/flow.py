@@ -58,14 +58,6 @@ class FlowField:
         if self.dx.shape != self.dy.shape or self.dx.ndim != 2:
             raise ValueError("dx and dy must be 2-D arrays of equal shape")
 
-    @property
-    def width(self) -> int:
-        return self.dx.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.dx.shape[0]
-
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.dx, self.dy)
 
@@ -131,18 +123,46 @@ def _gaussian_kernel(length: int) -> np.ndarray:
     return k / k.sum()
 
 
+def _dependency_cones(shapes: list[tuple[int, int]], span: tuple[slice, slice],
+                      params: FlowParams) -> list[tuple[slice, slice]]:
+    """Per pyramid level, finest first, the pixels whose updates reach `span`.
+
+    One update reads the window blur, which reaches `window // 2` px, so
+    a level's `iterations` updates reach a halo of `iterations * (window
+    // 2)` px.  The finest cone is `span` plus the halo.  Each coarser
+    cone is the finer cone mapped down by the shape ratio, plus 1 px for
+    the order-1 `_resize` that carries it up, plus the halo.  Every cone
+    is clipped to its level.
+    """
+    halo = params.iterations * (params.window // 2)
+    cones = []
+    for k, shape in enumerate(shapes):
+        if k == 0:
+            reach = [(s.start - halo, s.stop + halo) for s in span]
+        else:
+            reach = [(c.start * n // m - 1 - halo, -(-c.stop * n // m) + 1 + halo)
+                     for c, n, m in zip(cones[-1], shape, shapes[k - 1])]
+        cones.append(tuple(slice(max(0, lo), min(n, hi)) for (lo, hi), n in zip(reach, shape)))
+    return cones
+
+
 def _blur(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Separable blur over the last two axes, so a stack blurs per plane."""
     tmp = ndimage.correlate1d(arr, kernel, axis=-2, mode="nearest")
     return ndimage.correlate1d(tmp, kernel, axis=-1, mode="nearest")
 
 
-def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy) -> np.ndarray:
+def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy,
+                  origin: tuple[int, int]) -> np.ndarray:
     """Stacked terms of the normal equations of min ||A d - db||^2.
 
-    Kept apart from the blur so the warped coefficients are freed first.
+    `e1`, `dx` and `dy` cover a region whose first pixel is `origin` of
+    the level; `e2` is the whole level, where the warp lands.  Kept apart
+    from the blur so the warped coefficients are freed first.
     """
     coords = np.indices(dx.shape, dtype=np.float64)
+    coords[0] += origin[0]
+    coords[1] += origin[1]
     coords[0] += dy
     coords[1] += dx
 
@@ -163,8 +183,10 @@ def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy) -> np.ndarray:
     ])
 
 
-def _update_flow(e1: PolyExpansion, e2: PolyExpansion, dx, dy, window: int):
-    m11, m12, m22, h1, h2 = _blur(_normal_terms(e1, e2, dx, dy), _gaussian_kernel(window))
+def _update_flow(e1: PolyExpansion, e2: PolyExpansion, dx, dy, window: int,
+                 origin: tuple[int, int]):
+    m11, m12, m22, h1, h2 = _blur(_normal_terms(e1, e2, dx, dy, origin),
+                                  _gaussian_kernel(window))
 
     half_gap = np.sqrt((m11 - m22) ** 2 + 4.0 * m12 * m12)
     lam_min = 0.5 * ((m11 + m22) - half_gap)
@@ -205,25 +227,39 @@ def expand_pyramid(frame, params: FlowParams | None = None) -> list[PolyExpansio
 
 
 def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
-                  params: FlowParams) -> FlowField:
-    """Dense displacement between two frames, coarse-to-fine from zero.
+                  params: FlowParams, span: tuple[slice, slice]) -> FlowField:
+    """Displacement between two frames over the pixel `span`, coarse-to-fine from zero.
 
     Each frame is its `expand_pyramid` result, built with `params`.
-    Ill-conditioned pixels keep the displacement they have (zero unless a
-    coarser level set it), so the field is always fully populated.
+    `span` is a (rows, cols) pair of slices with integer bounds inside the
+    frame, as `boxes.pixel_span` returns; the field covers exactly those
+    pixels.  Each level iterates only on the span's dependency cone
+    (`_dependency_cones`): an update at a pixel reads `e1` there, `e2`
+    where the warp lands (kept whole) and the window blur, which reaches
+    `window // 2` px, so the field over `span` has the bits of the
+    whole-frame field.  Ill-conditioned pixels keep the displacement they
+    have (zero unless a coarser level set it), so the field is always
+    fully populated.
     """
     shapes1, shapes2 = ([e.c.shape for e in pyr] for pyr in (prev_pyr, next_pyr))
     if shapes1 != shapes2:
         raise ValueError(f"frame shapes differ: {shapes1[0]} vs {shapes2[0]}")
 
+    # dx/dy stay level-sized so `_resize` reads the whole coarser field;
+    # only the cone is updated
     dx = dy = np.zeros(shapes1[-1])
-    for e1, e2 in zip(reversed(prev_pyr), reversed(next_pyr)):
+    cones = _dependency_cones(shapes1, span, params)
+    for e1, e2, cone in zip(reversed(prev_pyr), reversed(next_pyr), reversed(cones)):
         shape = e1.c.shape
         scale_x, scale_y = shape[1] / dx.shape[1], shape[0] / dx.shape[0]
         dx, dy = _resize(dx, shape) * scale_x, _resize(dy, shape) * scale_y
+        e1 = PolyExpansion(**{name: coef[cone] for name, coef in vars(e1).items()})
+        origin = (cone[0].start, cone[1].start)
+        cone_dx, cone_dy = dx[cone], dy[cone]
         for _ in range(params.iterations):
-            dx, dy = _update_flow(e1, e2, dx, dy, params.window)
-    return FlowField(dx, dy)
+            cone_dx, cone_dy = _update_flow(e1, e2, cone_dx, cone_dy, params.window, origin)
+        dx[cone], dy[cone] = cone_dx, cone_dy
+    return FlowField(dx[span], dy[span])
 
 
 def magnitude_stats(flow: FlowField) -> tuple[float, float]:
@@ -234,10 +270,14 @@ def magnitude_stats(flow: FlowField) -> tuple[float, float]:
 
 def mask_worker_regions(flow: FlowField, patient: BoundingBox, span: tuple[slice, slice],
                         workers: list[BoundingBox]) -> FlowField:
-    """A copy of the flow over the patient's pixel `span`, zeroed where
-    worker boxes overlap the patient box; an overlap's span starts inside
-    `span`, since `pixel_span` rounds both ends up."""
-    dx, dy = flow.dx[span].copy(), flow.dy[span].copy()
+    """A copy of `flow`, the field over the patient's pixel `span`, zeroed
+    where worker boxes overlap the patient box.
+
+    `patient` lies in the frame and `span` is its `pixel_span`, so an
+    overlap's span starts inside `span` (`pixel_span` rounds both ends
+    up) and is clipped by the span's far edges.
+    """
+    dx, dy = flow.dx.copy(), flow.dy.copy()
     for worker in workers:
         if intersection_area(patient, worker) <= 0:
             continue
@@ -246,7 +286,7 @@ def mask_worker_regions(flow: FlowField, patient: BoundingBox, span: tuple[slice
             min(patient.right, worker.right) - max(patient.x, worker.x),
             min(patient.bottom, worker.bottom) - max(patient.y, worker.y),
         )
-        inner = pixel_span(overlap, flow.width, flow.height)
+        inner = pixel_span(overlap, span[1].stop, span[0].stop)
         if inner is not None:
             local = tuple(slice(i.start - s.start, i.stop - s.start) for i, s in zip(inner, span))
             dx[local] = 0.0

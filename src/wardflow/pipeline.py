@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .analytics import (MotionSample, RikerRecord, SessionReport, align_riker,
                         count_workers, interaction_time, motion_step, relax)
-from .boxes import Detection, FrameDetections, match_detections
+from .boxes import Detection, FrameDetections, match_detections, pixel_span
 from .flow import FlowParams, PolyExpansion, estimate_flow, expand_pyramid
 from .frames import ThermalFrame, auto_window, normalize_to_gray
 
@@ -50,13 +50,20 @@ def pair_motion(prev_pyr: list[PolyExpansion], cur_pyr: list[PolyExpansion],
                 fd: FrameDetections, config: SessionConfig) -> MotionSample:
     """Unrelaxed motion of one frame pair whose current frame has a patient.
 
-    Flow between the two frames' pyramids, worker overlaps zeroed, then
-    magnitude mean + std over the patient box.  It reads no other pair,
-    so pairs can run concurrently.
+    The patient box clamped to the frame decides the pixels scored: with
+    no pixel in frame the sample is a gap and no flow runs.  Otherwise
+    the flow over the patient's pixel span, worker overlaps zeroed, gives
+    magnitude mean + std.  It reads no other pair, so pairs can run
+    concurrently.
     """
-    flow = estimate_flow(prev_pyr, cur_pyr, config.flow)
+    height, width = cur_pyr[0].c.shape
+    patient = fd.best_patient(config.conf_min).box.clamped(width, height)
+    span = pixel_span(patient, width, height) if patient else None
+    if span is None:
+        return MotionSample(fd.timestamp, 0.0, 0.0, gap=True)
+    flow = estimate_flow(prev_pyr, cur_pyr, config.flow, span)
     workers = [d.box for d in fd.workers(config.conf_min)]
-    return motion_step(flow, fd.best_patient(config.conf_min).box, workers, fd.timestamp)
+    return motion_step(flow, patient, span, workers, fd.timestamp)
 
 
 def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],

@@ -14,7 +14,8 @@ import numpy as np
 from scipy import ndimage
 
 from wardflow.analytics import count_workers, interaction_time
-from wardflow.boxes import BoundingBox, intersection_area, iou, match_detections, pixel_span
+from wardflow.boxes import (BoundingBox, ObjectClass, intersection_area, iou,
+                            match_detections, pixel_span)
 from wardflow.evaluation import counting_accuracy, format_duration, mean_ap, time_error
 from wardflow.svgplot import Panel, Series, render_chart
 from wardflow.flow import _COND_LIMIT, _MIN_EIG, _gaussian_kernel, _resize
@@ -314,12 +315,13 @@ def eval_files(dets, gts, thresholds, name, conf_min, tau, dt):
 
     files = {}
     rows = ["metric,patient,worker,overall"]
-    classes = list(table.per_class)
+    classes = [ObjectClass.PATIENT, ObjectClass.WORKER]  # the header's columns
     for thr in thresholds:
         cells = ",".join(f"{table.per_class[c][thr]:.4f}" if c in table.per_class else ""
                          for c in classes)
         rows.append(f"mAP@{thr:g},{cells},")
-    avg_cells = ",".join(f"{table.class_averages[c]:.4f}" for c in classes)
+    avg_cells = ",".join(f"{table.class_averages[c]:.4f}" if c in table.class_averages else ""
+                         for c in classes)
     overall = f"{table.overall:.4f}" if table.overall is not None else ""
     rows.append(f"average,{avg_cells},{overall}")
     files["map.csv"] = "\n".join(rows) + "\n"

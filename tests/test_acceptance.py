@@ -11,7 +11,7 @@ from scipy import ndimage
 
 from oracles import ap_bruteforce, raster_mask
 from wardflow.boxes import (BoundingBox, Detection, FrameDetections,
-                            ObjectClass, area, intersection_area, iou)
+                            ObjectClass, area, intersection_area, iou, pixel_span)
 from wardflow.cli import main
 from wardflow.evaluation import (average_precision, format_duration, mean_ap,
                                  parse_duration, time_error)
@@ -83,14 +83,15 @@ def test_criterion_3_nursing_time_sum():
 
 
 def test_criterion_4_motion_recurrence():
-    flow = FlowField(np.full((32, 32), 2.0), np.zeros((32, 32)))
     patient = BoundingBox(4, 4, 20, 20)
+    span = pixel_span(patient, 32, 32)
+    flow = FlowField(np.full((20, 20), 2.0), np.zeros((20, 20)))  # the field over the span
     r, alpha, motion0 = 2.0, 0.7, 9.0
     motion = motion0
     for t in range(1, 51):
-        motion = relax(motion, motion_step(flow, patient, [], float(t)), alpha).smoothed
+        motion = relax(motion, motion_step(flow, patient, span, [], float(t)), alpha).smoothed
         assert abs(abs(motion - r) - 0.3**t * abs(motion0 - r)) < 1e-12
-    sample = relax(123.0, motion_step(flow, patient, [], 0.0), 1.0)
+    sample = relax(123.0, motion_step(flow, patient, span, [], 0.0), 1.0)
     assert sample.smoothed == sample.raw
     print("PASS criterion 4: relaxation decays as 0.3^t to 1e-12 over 50 steps; "
           "alpha=1 reproduces raw")
@@ -101,7 +102,8 @@ def test_criterion_5_optical_flow():
     img0, _ = _shifted_pair(0, (0, 0))
     params = FlowParams()
     pyr0 = expand_pyramid(img0, params)
-    assert estimate_flow(pyr0, pyr0, params).magnitude().max() < 0.05
+    whole = (slice(0, img0.shape[0]), slice(0, img0.shape[1]))
+    assert estimate_flow(pyr0, pyr0, params, whole).magnitude().max() < 0.05
     central = (slice(8, 56), slice(8, 56))
     shifts = [(1, 0), (-1, 2), (2, -2), (-2, -1), (3, 1), (-3, 4),
               (4, 0), (-4, -4), (0, 3), (1, -3)]
@@ -110,7 +112,8 @@ def test_criterion_5_optical_flow():
     for seed in range(20):
         shift = shifts[seed % len(shifts)]
         img, moved = _shifted_pair(seed, shift)
-        flow = estimate_flow(expand_pyramid(img, params), expand_pyramid(moved, params), params)
+        flow = estimate_flow(expand_pyramid(img, params), expand_pyramid(moved, params), params,
+                             whole)
         epe = float(np.hypot(flow.dx[central] - shift[0],
                              flow.dy[central] - shift[1]).mean())
         worst = max(worst, epe)

@@ -3,17 +3,18 @@ import json
 import numpy as np
 import pytest
 
+import wardflow.pipeline
 from oracles import motion_raw_full_frame
 from wardflow.analytics import (MotionSample, RikerRecord, align_riker,
                                 count_workers, interaction_time, motion_step,
                                 physical_interaction, read_riker_csv, relax,
                                 SessionReport)
 from wardflow.boxes import (BoundingBox, Detection, FrameDetections, ObjectClass,
-                            intersection_area)
+                            intersection_area, pixel_span)
 from wardflow.cli import _analyze_files
 from wardflow.errors import FormatError
-from wardflow.flow import FlowField
-from wardflow.pipeline import SessionConfig, analyze_session
+from wardflow.flow import FlowField, PolyExpansion
+from wardflow.pipeline import SessionConfig, analyze_session, pair_motion
 
 
 def frame(t, workers=(), patients=()):
@@ -172,21 +173,44 @@ class TestInteractionTime:
         assert session_report(series).interaction_time_s == 7.0
 
 
+def step(flow, patient, workers, timestamp):
+    """`motion_step` on the field over the span of a patient box inside
+    the frame of the whole-frame `flow`."""
+    height, width = flow.dx.shape
+    span = pixel_span(patient, width, height)
+    return motion_step(FlowField(flow.dx[span], flow.dy[span]), patient, span, workers,
+                       timestamp)
+
+
+def motion_of_known_flow(monkeypatch, flow, fd):
+    """`pair_motion` of one frame whose flow is the whole-frame `flow`,
+    and the spans `estimate_flow` was asked for."""
+    asked = []
+
+    def cropped(prev_pyr, cur_pyr, params, span):
+        asked.append(span)
+        return FlowField(flow.dx[span], flow.dy[span])
+
+    monkeypatch.setattr(wardflow.pipeline, "estimate_flow", cropped)
+    pyr = [PolyExpansion(*[np.zeros(flow.dx.shape)] * 6)]  # only its shape is read
+    return pair_motion(pyr, pyr, fd, SessionConfig()), asked
+
+
 class TestMotionStep:
     def test_uniform_flow(self):
         flow = FlowField(np.ones((40, 40)), np.zeros((40, 40)))
-        sample = relax(0.0, motion_step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 0.7)
+        sample = relax(0.0, step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 0.7)
         assert sample.raw == pytest.approx(1.0)
         assert sample.smoothed == pytest.approx(0.7)
 
     def test_zero_flow_decay(self):
         flow = FlowField(np.zeros((40, 40)), np.zeros((40, 40)))
-        sample = relax(2.0, motion_step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 0.7)
+        sample = relax(2.0, step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 0.7)
         assert sample.smoothed == pytest.approx(0.6)
 
     def test_alpha_one_no_memory(self):
         flow = FlowField(np.full((40, 40), 3.0), np.zeros((40, 40)))
-        sample = relax(99.0, motion_step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 1.0)
+        sample = relax(99.0, step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 1.0)
         assert sample.smoothed == sample.raw
 
     def test_worker_masking_removes_worker_motion(self):
@@ -196,14 +220,18 @@ class TestMotionStep:
         dx[0:10, 0:20] = 5.0
         flow = FlowField(dx, np.zeros((40, 40)))
         patient = BoundingBox(0, 0, 20, 20)
-        with_mask = motion_step(flow, patient, [BoundingBox(0, 0, 20, 10)], 0.0)
-        without = motion_step(flow, patient, [], 0.0)
+        with_mask = step(flow, patient, [BoundingBox(0, 0, 20, 10)], 0.0)
+        without = step(flow, patient, [], 0.0)
         assert with_mask.raw == 0.0
         assert without.raw > 0.0
 
-    def test_degenerate_patient_carries_forward(self):
+    def test_degenerate_patient_carries_forward(self, monkeypatch):
+        # a patient box with no pixel in the frame is a gap found before any flow
         flow = FlowField(np.zeros((40, 40)), np.zeros((40, 40)))
-        sample = relax(1.25, motion_step(flow, BoundingBox(100, 100, 5, 5), [], 3.0), 0.7)
+        raw, asked = motion_of_known_flow(monkeypatch, flow,
+                                          frame(3.0, patients=[((100, 100, 5, 5), 0.9)]))
+        sample = relax(1.25, raw, 0.7)
+        assert asked == []
         assert sample.gap
         assert sample.smoothed == 1.25
         assert sample.timestamp == 3.0
@@ -215,13 +243,15 @@ class TestMotionStep:
         alpha, r = 0.7, 2.0
         motion = 10.0
         for t in range(1, 30):
-            motion = relax(motion, motion_step(flow, patient, [], float(t)), alpha).smoothed
+            motion = relax(motion, step(flow, patient, [], float(t)), alpha).smoothed
             expected = (1 - alpha) ** t * abs(10.0 - r)
             assert abs(motion - r) == pytest.approx(expected, rel=1e-9)
 
-    def test_span_matches_full_frame_reference(self):
-        # the span-only arithmetic must give the bits of the full-frame
-        # copy, mask and boolean region, for every kind of box
+    def test_span_matches_full_frame_reference(self, monkeypatch):
+        # the span-only arithmetic of a pair (the span pair_motion picks,
+        # the field over it, the mask and statistics) must give the bits
+        # of the full-frame copy, mask and boolean region, for every kind
+        # of box; a gap must not ask for flow
         rng = np.random.default_rng(21)
         seen = {"gap": 0, "zeroed": 0}
 
@@ -257,11 +287,16 @@ class TestMotionStep:
                     workers.append(box(patient.right + rng.uniform(0, 3), patient.y,
                                        rng.uniform(0.5, 5), rng.uniform(0.5, 5)))
             expected = motion_raw_full_frame(flow, patient, workers)
-            sample = motion_step(flow, patient, workers, float(case))
+            fd = FrameDetections(float(case), [Detection(patient, ObjectClass.PATIENT)]
+                                 + [Detection(w, ObjectClass.WORKER) for w in workers])
+            sample, asked = motion_of_known_flow(monkeypatch, flow, fd)
+            assert sample.timestamp == float(case)
             if expected is None:
                 seen["gap"] += 1
                 assert sample.gap and sample.raw == 0.0
+                assert asked == []
             else:
+                assert len(asked) == 1
                 assert not sample.gap
                 assert sample.raw.hex() == expected.hex(), (height, width, patient, workers)
                 seen["zeroed"] += any(intersection_area(patient, w) > 0 for w in workers)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import wardflow.analytics
-from wardflow.boxes import BoundingBox
+from wardflow.boxes import BoundingBox, pixel_span
 from wardflow.flow import FlowField
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,8 +31,9 @@ def test_motion_step_calls_the_mask_and_stats_globals(monkeypatch):
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(wardflow.analytics, name, counted)
-    flow = FlowField(np.ones((20, 30)), np.zeros((20, 30)))
-    sample = wardflow.analytics.motion_step(flow, BoundingBox(2, 3, 10, 12),
+    patient = BoundingBox(2, 3, 10, 12)
+    flow = FlowField(np.ones((12, 10)), np.zeros((12, 10)))  # the field over the patient
+    sample = wardflow.analytics.motion_step(flow, patient, pixel_span(patient, 30, 20),
                                             [BoundingBox(8, 0, 6, 6)], 1.0)
     assert not sample.gap
     assert calls == {"mask_worker_regions": 1, "magnitude_stats": 1}

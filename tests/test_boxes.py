@@ -104,6 +104,14 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(*fields)
 
+    def test_zero_area_rejected(self):
+        # two subnormal sides multiply to an area of 0, which every ratio
+        # over the box would divide by
+        with pytest.raises(ValueError):
+            BoundingBox(1, 1, 5e-324, 5e-324)
+        # a valid box whose part inside the frame has an area of 0
+        assert BoundingBox(-1e-160, 0, 1.2e-160, 1e-163).clamped(10, 10) is None
+
     def test_clamped(self):
         assert BoundingBox(-5, -5, 20, 20).clamped(10, 10) == BoundingBox(0, 0, 10, 10)
         assert BoundingBox(50, 50, 5, 5).clamped(10, 10) is None

@@ -246,6 +246,23 @@ class TestAnalyze:
         riker.write_text(f"t,score\n{t},3\n")
         assert run_analyze(session, tmp_path / "o", ["--no-motion", "--riker", str(riker)]) == 3
 
+    @pytest.mark.parametrize("change", [
+        {"t": 1e308},                                                 # no microsecond key
+        {"dets": [{"cls": ["patient"], "box": [4, 4, 5, 5]}]},        # unhashable class
+        {"dets": [{"cls": "patient", "box": [4, 4, 5e-324, 5e-324]},  # an area of 0
+                  {"cls": "worker", "box": [0, 0, 20, 20]}]},
+    ])
+    def test_malformed_detection_exit_3(self, session, tmp_path, change):
+        # each of these ended in a traceback before
+        lines = (session / "truth_dets.jsonl").read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), **change})
+        dets = tmp_path / "bad.jsonl"
+        dets.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                     "--dets", str(dets), "--out", str(tmp_path / "a")]) == 3
+        assert main(["eval", "--dets", str(dets), "--gt", str(session / "truth_dets.jsonl"),
+                     "--out", str(tmp_path / "e")]) == 3
+
     def test_detections_outside_frame_warn(self, session, tmp_path):
         lines = []
         for line in (session / "truth_dets.jsonl").read_text().splitlines():
@@ -455,6 +472,29 @@ class TestEval:
                      "--gt", str(session / "truth_dets.jsonl"), option,
                      "--out", str(tmp_path / "o")]) == 4
         assert not (tmp_path / "o").exists()
+
+    def test_map_columns_hold_without_a_class(self, session, tmp_path):
+        # with no patient in the ground truth the patient cells stay empty,
+        # so the worker AP and the overall keep their own columns
+        workers = tmp_path / "workers.jsonl"
+        lines = []
+        for line in (session / "truth_dets.jsonl").read_text().splitlines():
+            obj = json.loads(line)
+            obj["dets"] = [d for d in obj["dets"] if d["cls"] == "worker"]
+            lines.append(json.dumps(obj))
+        workers.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "eval"
+        with pytest.warns(UserWarning, match="no ground truth for class patient"):
+            assert main(["eval", "--dets", str(workers), "--gt", str(workers),
+                         "--thresholds", "0.5,0.75", "--out", str(out)]) == 0
+        assert (out / "map.csv").read_text().splitlines() == [
+            "metric,patient,worker,overall",
+            "mAP@0.5,,1.0000,",
+            "mAP@0.75,,1.0000,",
+            "average,,1.0000,1.0000",
+        ]
+        assert json.loads((out / "eval.json").read_text())["map"] == {
+            "worker": {"0.5": 1.0, "0.75": 1.0}}
 
     def test_joins_the_two_files_once(self, session, tmp_path, monkeypatch):
         calls = []

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import wardflow.pipeline
 from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
-from wardflow.analytics import motion_step
-from wardflow.boxes import BoundingBox, pixel_span
-from wardflow.flow import (FlowField, FlowParams, estimate_flow, expand_pyramid,
-                           magnitude_stats, mask_worker_regions, poly_expand)
+from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
+from wardflow.flow import (FlowField, FlowParams, _dependency_cones, estimate_flow,
+                           expand_pyramid, magnitude_stats, mask_worker_regions, poly_expand)
+from wardflow.pipeline import SessionConfig, pair_motion
 
 
 def smooth_texture(seed, shape=(64, 64), sigma=3.0):
@@ -25,9 +26,15 @@ def shifted_pair(seed, shift, size=64, margin=8):
     return img, moved
 
 
+def whole(shape):
+    """The pixel span of a whole frame."""
+    return slice(0, shape[0]), slice(0, shape[1])
+
+
 def flow_between(img, moved, params=FlowParams()):
-    """Flow between two images, each expanded once as a pyramid."""
-    return estimate_flow(expand_pyramid(img, params), expand_pyramid(moved, params), params)
+    """The whole-frame flow between two images, each expanded once as a pyramid."""
+    return estimate_flow(expand_pyramid(img, params), expand_pyramid(moved, params), params,
+                         whole(np.shape(img)))
 
 
 class TestPolyExpand:
@@ -123,7 +130,7 @@ class TestPyramidReuse:
         a = smooth_texture(12, shape=shape, sigma=2.0)
         b = np.roll(a, (1, 2), axis=(0, 1)) + rng.normal(size=shape)
         ref_dx, ref_dy = flow_per_pair(a, b, params)
-        flow = estimate_flow(expand_pyramid(a, params), expand_pyramid(b, params), params)
+        flow = flow_between(a, b, params)
         assert np.array_equal(flow.dx, ref_dx)
         assert np.array_equal(flow.dy, ref_dy)
 
@@ -136,11 +143,66 @@ class TestPyramidReuse:
         params = FlowParams()
         with pytest.raises(ValueError):
             estimate_flow(expand_pyramid(np.zeros((32, 32))),
-                          expand_pyramid(np.zeros((32, 33))), params)
+                          expand_pyramid(np.zeros((32, 33))), params, whole((32, 32)))
         with pytest.raises(ValueError):  # pyramids built with different level counts
             estimate_flow(expand_pyramid(np.zeros((32, 32))),
                           expand_pyramid(np.zeros((32, 32)), FlowParams(pyramid_levels=2)),
-                          params)
+                          params, whole((32, 32)))
+
+
+class TestDependencyCone:
+    """The flow over a span has the bits of the whole-frame flow there."""
+
+    @staticmethod
+    def spans(rng, shape, params):
+        h, w = shape
+        halo = params.iterations * (params.window // 2)
+
+        def box(r, c, bh, bw):  # clipped to the frame
+            return slice(r, min(h, r + bh)), slice(c, min(w, c + bw))
+
+        def size(n):
+            return int(rng.integers(1, n + 1))
+
+        r, c = int(rng.integers(0, h)), int(rng.integers(0, w))
+        small = int(rng.integers(1, halo))  # every halo here is at least 2 px
+        bh, bw = size(h), size(w)
+        return [
+            box(r, c, 1, 1),
+            box(r, c, small, small),
+            box(r, c, size(h), size(w)),
+            box(0, 0, bh, bw),                          # top-left corner
+            (slice(h - bh, h), slice(w - bw, w)),       # bottom-right corner
+            box(r, 0, size(h), 1),                      # left edge
+            (slice(h - 1, h), slice(c, min(w, c + bw))),  # bottom edge
+            whole(shape),
+        ]
+
+    def test_span_matches_whole_frame(self):
+        rng = np.random.default_rng(23)
+        inner_coarse_cones = 0
+        for case in range(30):
+            shape = (int(rng.integers(10, 100)), int(rng.integers(10, 120)))
+            params = FlowParams(pyramid_levels=int(rng.integers(1, 5)),
+                                window=int(rng.choice(np.arange(5, 22, 2))),
+                                iterations=int(rng.integers(1, 5)))
+            a = smooth_texture(case, shape=shape, sigma=2.0)
+            b = np.roll(a, tuple(rng.integers(-3, 4, size=2)), axis=(0, 1)) + rng.normal(size=shape)
+            prev_pyr, next_pyr = expand_pyramid(a, params), expand_pyramid(b, params)
+            full = estimate_flow(prev_pyr, next_pyr, params, whole(shape))
+            shapes = [e.c.shape for e in prev_pyr]
+            for span in self.spans(rng, shape, params):
+                flow = estimate_flow(prev_pyr, next_pyr, params, span)
+                assert flow.dx.shape == full.dx[span].shape
+                assert np.array_equal(flow.dx, full.dx[span]), (shape, params, span)
+                assert np.array_equal(flow.dy, full.dy[span]), (shape, params, span)
+                cones = _dependency_cones(shapes, span, params)
+                inner_coarse_cones += any(c.start > 0 or c.stop < n for cone, level in
+                                          zip(cones[1:], shapes[1:])
+                                          for c, n in zip(cone, level))
+        # the cones mapped down to coarser levels were exercised, not only
+        # coarse levels iterated whole
+        assert inner_coarse_cones >= 50
 
 
 class TestMagnitudeStats:
@@ -158,12 +220,17 @@ class TestMagnitudeStats:
     def test_zero_field(self):
         assert magnitude_stats(FlowField(np.zeros((8, 8)), np.zeros((8, 8)))) == (0.0, 0.0)
 
-    def test_empty_mask_rejected(self):
-        # a box between two integer columns covers no pixel: motion_step
-        # gives a gap instead of statistics over an empty field
-        flow = FlowField(np.ones((4, 4)), np.ones((4, 4)))
-        assert pixel_span(BoundingBox(1.2, 0, 0.5, 4), 4, 4) is None
-        assert motion_step(flow, BoundingBox(1.2, 0, 0.5, 4), [], 0.0).gap
+    def test_empty_mask_rejected(self, monkeypatch):
+        # a box between two integer columns covers no pixel: the pair is a
+        # gap, with no flow and no statistics over an empty field
+        def no_flow(*args):
+            raise AssertionError("flow ran for a patient with no pixel")
+
+        monkeypatch.setattr(wardflow.pipeline, "estimate_flow", no_flow)
+        assert pixel_span(BoundingBox(1.2, 0, 0.5, 8), 8, 8) is None
+        pyr = expand_pyramid(np.zeros((8, 8)))
+        fd = FrameDetections(0.0, [Detection(BoundingBox(1.2, 0, 0.5, 8), ObjectClass.PATIENT)])
+        assert pair_motion(pyr, pyr, fd, SessionConfig()).gap
 
     def test_mask_permutation_invariant(self):
         rng = np.random.default_rng(5)
@@ -179,9 +246,11 @@ class TestMagnitudeStats:
 
 
 def masked(flow, patient, workers):
-    """`mask_worker_regions` over the patient's own pixel span, and that span."""
-    span = pixel_span(patient, flow.width, flow.height)
-    return mask_worker_regions(flow, patient, span, workers), span
+    """`mask_worker_regions` of the field over the patient's pixel span, and that span."""
+    height, width = flow.dx.shape
+    span = pixel_span(patient, width, height)
+    return mask_worker_regions(FlowField(flow.dx[span], flow.dy[span]), patient, span,
+                               workers), span
 
 
 class TestMaskWorkerRegions:

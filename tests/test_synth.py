@@ -5,8 +5,8 @@ import pytest
 
 import wardflow.flow
 import wardflow.pipeline
-from wardflow.analytics import motion_step
-from wardflow.boxes import BoundingBox, FrameDetections
+from oracles import motion_raw_full_frame
+from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass
 from wardflow.detect import blob_detect
 from wardflow.evaluation import counting_accuracy
 from wardflow.flow import estimate_flow, expand_pyramid
@@ -168,13 +168,15 @@ class TestMotionEngine:
         config = SessionConfig()
         window = auto_window(frames[0])
         pyramids = [expand_pyramid(normalize_to_gray(f, *window), config.flow) for f in frames]
+        whole = (slice(0, frames[0].height), slice(0, frames[0].width))
         expected = {}
         for k in range(1, len(frames)):
             if k not in self.GAPS:
-                flow = estimate_flow(pyramids[k - 1], pyramids[k], config.flow)
+                # the whole-frame field and the full-frame motion reference
+                flow = estimate_flow(pyramids[k - 1], pyramids[k], config.flow, whole)
                 workers = [d.box for d in dets[k].workers(config.conf_min)]
                 patient = dets[k].best_patient(config.conf_min).box
-                expected[k] = motion_step(flow, patient, workers, dets[k].timestamp).raw
+                expected[k] = motion_raw_full_frame(flow, patient, workers)
 
         calls = {"flow": 0, "expand": 0}
 
@@ -199,6 +201,36 @@ class TestMotionEngine:
         assert len(frames_used) == 9  # frame 3 sits between two gap pairs
         assert calls["expand"] == config.flow.pyramid_levels * len(frames_used)
 
+
+    def test_patient_outside_the_frame_runs_no_flow(self, monkeypatch):
+        # a patient box with no pixel in the 64x48 frame gives the motion
+        # of a frame without a patient, and no flow runs for its pair
+        frames, dets = self.make_session()
+        outside, moved, dropped = {2, 6}, [], []
+        for k, fd in enumerate(dets):
+            if k in outside:
+                fd = FrameDetections(fd.timestamp, fd.workers(0.5))
+                dropped.append(fd)
+                fd = FrameDetections(fd.timestamp, fd.detections + [
+                    Detection(BoundingBox(70, 10, 20, 26), ObjectClass.PATIENT)])
+            else:
+                dropped.append(fd)
+            moved.append(fd)
+        config = SessionConfig()
+        reference = analyze_session(frames, dropped, config)
+
+        calls = []
+        flow = wardflow.pipeline.estimate_flow
+
+        def counted(*args):
+            calls.append(args[3])
+            return flow(*args)
+
+        monkeypatch.setattr(wardflow.pipeline, "estimate_flow", counted)
+        report = analyze_session(frames, moved, config)
+        assert report.motion == reference.motion
+        assert [s.gap for s in report.motion] == [k in self.GAPS | outside for k in range(1, 10)]
+        assert len(calls) == 9 - len(self.GAPS | outside)
 
 def test_export_session(tmp_path):
     scenario = basic_scenario(duration=3)
