@@ -117,24 +117,20 @@ def interaction_time(series: list[FrameDetections], tau: float = 0.1,
     return InteractionSummary(indicators, events, missing)
 
 
-def motion_step(flow: FlowField, patient: BoundingBox, span: tuple[slice, slice],
-                workers: list[BoundingBox], timestamp: float) -> MotionSample:
+def motion_step(flow: FlowField, span: tuple[slice, slice], workers: list[BoundingBox]) -> float:
     """Unrelaxed motion of one frame: magnitude mean+std of `flow`, the
-    field over the patient's pixel `span`, with flow inside worker
-    overlaps zeroed.  `patient` is the box clamped to the frame and
-    `span` its `pixel_span`.
-    """
-    mean, std = magnitude_stats(mask_worker_regions(flow, patient, span, workers))
-    raw = mean + std
-    return MotionSample(timestamp, raw, raw)
+    field over the patient's pixel `span`, with the pixels of worker
+    boxes zeroed."""
+    mean, std = magnitude_stats(mask_worker_regions(flow, span, workers))
+    return mean + std
 
 
-def relax(prev: float, sample: MotionSample, alpha: float) -> MotionSample:
-    """The motion recurrence: alpha*raw + (1-alpha)*prev; a gap keeps prev."""
-    if sample.gap:
-        return MotionSample(sample.timestamp, 0.0, prev, gap=True)
-    return MotionSample(sample.timestamp, sample.raw,
-                        alpha * sample.raw + (1.0 - alpha) * prev)
+def relax(prev: float, timestamp: float, raw: float | None, alpha: float) -> MotionSample:
+    """The motion sample at `timestamp`: alpha*raw + (1-alpha)*prev, or
+    for a gap (`raw` None) prev kept."""
+    if raw is None:
+        return MotionSample(timestamp, 0.0, prev, gap=True)
+    return MotionSample(timestamp, raw, alpha * raw + (1.0 - alpha) * prev)
 
 
 def align_riker(motion: list[MotionSample], records: list[RikerRecord],

@@ -130,6 +130,20 @@ def time_key(t: float) -> int:
     return round(t / 1e-6)
 
 
+def parse_time(value) -> float:
+    """A timestamp read from an input file: a finite, non-negative number
+    of seconds that `time_key` can key.  ValueError otherwise."""
+    try:
+        t = float(value)
+        if math.isfinite(t) and t >= 0:
+            time_key(t)  # OverflowError where the microsecond key would be infinite
+            return t
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"timestamp must be finite, non-negative and small enough to join on, "
+                     f"got {value!r}")
+
+
 def match_detections(timeline: Sequence, dets: list[FrameDetections]) -> list[FrameDetections]:
     """Pair each timeline item (anything with a `.timestamp`) with the
     detections of the same time key; missing -> empty.  Detection frames

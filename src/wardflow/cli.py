@@ -1,7 +1,8 @@
 """Command-line entry point: synth / analyze / eval subcommands.
 
 Exit codes are a stable contract for scripting: 0 success, 2 missing or
-unreadable files, 3 schema/format errors, 4 bad configuration.
+unreadable files, 3 schema/format errors, 4 bad configuration.  A JSON
+output whose total overflows (a huge `dt`) exits 4, never writing `Infinity`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _analyze_files(report: SessionReport, ts: list[float]) -> dict[str, str]:
                ":".join(map(str, _box_fields(e.patient_box))),
                ":".join(map(str, _box_fields(e.worker_box)))] for e in report.events]
     files = {
-        "report.json": json.dumps(doc, indent=2) + "\n",
+        "report.json": json.dumps(doc, indent=2, allow_nan=False) + "\n",
         "motion.csv": _csv("t,raw,smoothed", [f"{s.timestamp!r},{s.raw!r},{s.smoothed!r}"
                                               for s in report.motion]),
         "events.csv": _csv("t,ratio,patient_box,worker_box", [",".join(e) for e in events]),
@@ -125,7 +126,7 @@ def _eval_files(table: APTable, name: str, worker_acc: float, pi_acc: float,
             "interaction_counting_accuracy": pi_acc,
             "nursing_time": _time_json(*nursing),
             "interaction_time": _time_json(*interaction),
-        }, indent=2) + "\n",
+        }, indent=2, allow_nan=False) + "\n",
     }
 
 

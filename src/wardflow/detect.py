@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 from scipy import ndimage
 
-from .boxes import BoundingBox, Detection, FrameDetections, ObjectClass, time_key
+from .boxes import (BoundingBox, Detection, FrameDetections, ObjectClass, parse_time,
+                    time_key)
 from .errors import FormatError
 from .frames import ThermalFrame
 
@@ -50,17 +51,10 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
         if not isinstance(obj, dict) or "t" not in obj or "dets" not in obj:
             raise FormatError("expected object with 't' and 'dets'", line=lineno)
         try:
-            t = float(obj["t"])
-        except (TypeError, ValueError):
-            raise FormatError(f"bad timestamp {obj['t']!r}", line=lineno) from None
-        if not (math.isfinite(t) and t >= 0):
-            raise FormatError(f"timestamp must be finite and non-negative, got {t}",
-                              line=lineno)
-        try:
-            key = time_key(t)
-        except OverflowError:
-            raise FormatError(f"timestamp {t} is too large to join on", line=lineno) from None
-        seen = first_line.setdefault(key, lineno)
+            t = parse_time(obj["t"])
+        except ValueError as exc:
+            raise FormatError(str(exc), line=lineno) from None
+        seen = first_line.setdefault(time_key(t), lineno)
         if seen != lineno:
             raise FormatError(f"timestamp {t} repeats line {seen}", line=lineno)
         if not isinstance(obj["dets"], list):
@@ -78,7 +72,7 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
                 x, y, w, h = (float(v) for v in d["box"])
                 box = BoundingBox(x, y, w, h)
                 det = Detection(box, cls, conf)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"bad detection {d!r}: {exc}", line=lineno) from exc
             if resolution is not None:
                 clamped = box.clamped(*resolution)

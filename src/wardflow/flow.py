@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .boxes import BoundingBox, intersection_area, pixel_span
+from .boxes import BoundingBox, pixel_span
 
 # Local 2x2 systems with condition estimates beyond this are treated as
 # degenerate and keep their current displacement.
@@ -268,27 +268,16 @@ def magnitude_stats(flow: FlowField) -> tuple[float, float]:
     return float(mag.mean()), float(mag.std())
 
 
-def mask_worker_regions(flow: FlowField, patient: BoundingBox, span: tuple[slice, slice],
+def mask_worker_regions(flow: FlowField, span: tuple[slice, slice],
                         workers: list[BoundingBox]) -> FlowField:
-    """A copy of `flow`, the field over the patient's pixel `span`, zeroed
-    where worker boxes overlap the patient box.
-
-    `patient` lies in the frame and `span` is its `pixel_span`, so an
-    overlap's span starts inside `span` (`pixel_span` rounds both ends
-    up) and is clipped by the span's far edges.
-    """
+    """A copy of `flow`, the field over the pixel `span`, zeroed on the
+    pixels of `span` that lie in a worker's `pixel_span`."""
     dx, dy = flow.dx.copy(), flow.dy.copy()
     for worker in workers:
-        if intersection_area(patient, worker) <= 0:
-            continue
-        overlap = BoundingBox(
-            max(patient.x, worker.x), max(patient.y, worker.y),
-            min(patient.right, worker.right) - max(patient.x, worker.x),
-            min(patient.bottom, worker.bottom) - max(patient.y, worker.y),
-        )
-        inner = pixel_span(overlap, span[1].stop, span[0].stop)
+        inner = pixel_span(worker, span[1].stop, span[0].stop)
         if inner is not None:
-            local = tuple(slice(i.start - s.start, i.stop - s.start) for i, s in zip(inner, span))
-            dx[local] = 0.0
-            dy[local] = 0.0
+            # a worker wholly left of or above the span gives a stop of 0
+            local = tuple(slice(max(i.start - s.start, 0), max(i.stop - s.start, 0))
+                          for i, s in zip(inner, span))
+            dx[local] = dy[local] = 0.0
     return FlowField(dx, dy)

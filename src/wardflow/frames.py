@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .boxes import parse_time
 from .errors import FormatError, UnsupportedError, ValidationError
 
 NPY_MAGIC = b"\x93NUMPY"
@@ -171,19 +172,19 @@ def load_manifest(path) -> SequenceManifest:
     if not isinstance(doc, dict) or "frames" not in doc:
         raise FormatError("manifest must be an object with a 'frames' list")
     try:
-        frames = [FrameEntry(str(e["path"]), float(e["t"])) for e in doc["frames"]]
+        frames = [FrameEntry(str(e["path"]), parse_time(e["t"])) for e in doc["frames"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad frame entry in manifest: {exc}") from exc
     try:
         dt = float(doc.get("dt", 1.0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"manifest dt must be a number: {exc}") from exc
     resolution = None
     if doc.get("resolution") is not None:
         try:
             w, h = doc["resolution"]
             resolution = (int(w), int(h))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"manifest resolution must be [width, height]: {exc}") from exc
     return SequenceManifest(frames, dt, resolution)
 

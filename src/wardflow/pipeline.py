@@ -46,44 +46,42 @@ class SessionConfig:
                 raise ValueError("contrast window needs finite lo < hi")
 
 
-def pair_motion(prev_pyr: list[PolyExpansion], cur_pyr: list[PolyExpansion],
-                fd: FrameDetections, config: SessionConfig) -> MotionSample:
-    """Unrelaxed motion of one frame pair whose current frame has a patient.
+def _patient_span(fd: FrameDetections, shape: tuple[int, int],
+                  conf_min: float) -> tuple[slice, slice] | None:
+    """The pixels a frame of `shape` (rows, cols) scores: its best patient
+    clamped to the frame, as a `pixel_span`; None, a gap, without one."""
+    patient = fd.best_patient(conf_min)
+    clamped = patient and patient.box.clamped(shape[1], shape[0])
+    return pixel_span(clamped, shape[1], shape[0]) if clamped else None
 
-    The patient box clamped to the frame decides the pixels scored: with
-    no pixel in frame the sample is a gap and no flow runs.  Otherwise
-    the flow over the patient's pixel span, worker overlaps zeroed, gives
-    magnitude mean + std.  It reads no other pair, so pairs can run
-    concurrently.
-    """
-    height, width = cur_pyr[0].c.shape
-    patient = fd.best_patient(config.conf_min).box.clamped(width, height)
-    span = pixel_span(patient, width, height) if patient else None
-    if span is None:
-        return MotionSample(fd.timestamp, 0.0, 0.0, gap=True)
+
+def pair_motion(prev_pyr: list[PolyExpansion], cur_pyr: list[PolyExpansion],
+                fd: FrameDetections, span: tuple[slice, slice], config: SessionConfig) -> float:
+    """Unrelaxed motion of one frame pair: magnitude mean + std of the flow
+    over the current patient's pixel `span`, worker pixels zeroed.  It
+    reads no other pair, so pairs can run concurrently."""
     flow = estimate_flow(prev_pyr, cur_pyr, config.flow, span)
-    workers = [d.box for d in fd.workers(config.conf_min)]
-    return motion_step(flow, patient, span, workers, fd.timestamp)
+    return motion_step(flow, span, [d.box for d in fd.workers(config.conf_min)])
 
 
 def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
                    config: SessionConfig) -> list[MotionSample]:
     """The relaxed motion series over one pass of (frame, detections).
 
-    This thread reads frames and builds each frame's pyramid once; the
-    pairs run on a pool of `os.cpu_count()` threads with at most that
-    many in flight, and their samples are relaxed in frame order.
+    This thread decides each frame's patient span and builds each
+    pyramid a pair needs once; a frame whose span is a gap builds none.
+    The pairs run on a pool of `os.cpu_count()` threads with at most
+    that many in flight, and their scalars are relaxed in frame order.
     """
     size = os.cpu_count() or 1
-    pending: deque[Future | MotionSample] = deque()  # unrelaxed, in frame order
+    pending: deque[tuple[float, Future | None]] = deque()  # in frame order; None is a gap
     motion: list[MotionSample] = []
 
     def settle(limit: int) -> None:
         while len(pending) > limit:
-            item = pending.popleft()
-            if isinstance(item, Future):
-                item = item.result()
-            motion.append(relax(motion[-1].smoothed if motion else 0.0, item, config.alpha))
+            timestamp, future = pending.popleft()
+            motion.append(relax(motion[-1].smoothed if motion else 0.0, timestamp,
+                                None if future is None else future.result(), config.alpha))
 
     def pyramid(frame):
         return expand_pyramid(normalize_to_gray(frame, *window), config.flow)
@@ -97,16 +95,15 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
                                      f"than the expansion window {config.flow.poly_n}")
                 window = config.contrast_window or auto_window(prev_frame)
             if k > 0:
-                if fd.best_patient(config.conf_min) is None:
-                    pending.append(MotionSample(fd.timestamp, 0.0, 0.0, gap=True))
-                    prev_pyr = None
-                else:
+                span = _patient_span(fd, frame.temps.shape, config.conf_min)
+                cur_pyr = future = None
+                if span is not None:
                     settle(size - 1)  # the pyramids built next use the core this frees
-                    if prev_pyr is None:
-                        prev_pyr = pyramid(prev_frame)
+                    prev_pyr = prev_pyr or pyramid(prev_frame)
                     cur_pyr = pyramid(frame)
-                    pending.append(pool.submit(pair_motion, prev_pyr, cur_pyr, fd, config))
-                    prev_pyr = cur_pyr
+                    future = pool.submit(pair_motion, prev_pyr, cur_pyr, fd, span, config)
+                pending.append((fd.timestamp, future))
+                prev_pyr = cur_pyr
             prev_frame = frame
         settle(0)
     return motion
@@ -128,11 +125,11 @@ def analyze_session(frames: Iterable[ThermalFrame], dets: list[FrameDetections] 
 
     The motion score is flow between consecutive normalized frames,
     masked to the current patient box with worker overlaps zeroed, and
-    relaxed with factor alpha.  Flow runs only for pairs whose current
-    frame has a patient, since every other sample is a gap; pairs run
-    on a thread pool sized by `os.cpu_count()`, so memory is bounded by
-    the pool size, not the session length, and the relaxation then
-    runs over the pairs' scalars in frame order.
+    relaxed with factor alpha.  Flow and pyramids run only for pairs
+    whose current patient covers a pixel, since every other sample is
+    a gap; pairs run on a thread pool sized by `os.cpu_count()`, so
+    memory is bounded by the pool size, not the session length, and the
+    relaxation then runs over the pairs' scalars in frame order.
     """
     config = config or SessionConfig()
     if callable(dets):

@@ -81,9 +81,13 @@ class Scenario:
     noise_sigma_c: float = 0.1
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         w, h = self.resolution
+        if not all(isinstance(v, int) and v > 0 for v in (w, h)):
+            raise ValueError(f"resolution must be two positive integers, got {self.resolution}")
+        if not 0 <= self.noise_sigma_c < math.inf:
+            raise ValueError(f"noise_sigma_c must be finite and >= 0, got {self.noise_sigma_c}")
         for script in [self.patient, *self.workers]:
             for kf in script.keyframes:
                 box = kf.box
@@ -118,7 +122,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             body_c=float(doc.get("body_c", 36.0)),
             noise_sigma_c=float(doc.get("noise_sigma_c", 0.1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad scenario: {exc}") from exc
 
 

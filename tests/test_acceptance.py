@@ -89,9 +89,9 @@ def test_criterion_4_motion_recurrence():
     r, alpha, motion0 = 2.0, 0.7, 9.0
     motion = motion0
     for t in range(1, 51):
-        motion = relax(motion, motion_step(flow, patient, span, [], float(t)), alpha).smoothed
+        motion = relax(motion, float(t), motion_step(flow, span, []), alpha).smoothed
         assert abs(abs(motion - r) - 0.3**t * abs(motion0 - r)) < 1e-12
-    sample = relax(123.0, motion_step(flow, patient, span, [], 0.0), 1.0)
+    sample = relax(123.0, 0.0, motion_step(flow, span, []), 1.0)
     assert sample.smoothed == sample.raw
     print("PASS criterion 4: relaxation decays as 0.3^t to 1e-12 over 50 steps; "
           "alpha=1 reproduces raw")

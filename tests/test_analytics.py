@@ -14,7 +14,8 @@ from wardflow.boxes import (BoundingBox, Detection, FrameDetections, ObjectClass
 from wardflow.cli import _analyze_files
 from wardflow.errors import FormatError
 from wardflow.flow import FlowField, PolyExpansion
-from wardflow.pipeline import SessionConfig, analyze_session, pair_motion
+from wardflow.frames import ThermalFrame
+from wardflow.pipeline import SessionConfig, _patient_span, analyze_session, pair_motion
 
 
 def frame(t, workers=(), patients=()):
@@ -173,17 +174,17 @@ class TestInteractionTime:
         assert session_report(series).interaction_time_s == 7.0
 
 
-def step(flow, patient, workers, timestamp):
+def step(flow, patient, workers):
     """`motion_step` on the field over the span of a patient box inside
     the frame of the whole-frame `flow`."""
     height, width = flow.dx.shape
     span = pixel_span(patient, width, height)
-    return motion_step(FlowField(flow.dx[span], flow.dy[span]), patient, span, workers,
-                       timestamp)
+    return motion_step(FlowField(flow.dx[span], flow.dy[span]), span, workers)
 
 
 def motion_of_known_flow(monkeypatch, flow, fd):
-    """`pair_motion` of one frame whose flow is the whole-frame `flow`,
+    """The raw motion of one frame whose flow is the whole-frame `flow`
+    (None for a gap), from the pipeline's span decision and `pair_motion`,
     and the spans `estimate_flow` was asked for."""
     asked = []
 
@@ -192,25 +193,29 @@ def motion_of_known_flow(monkeypatch, flow, fd):
         return FlowField(flow.dx[span], flow.dy[span])
 
     monkeypatch.setattr(wardflow.pipeline, "estimate_flow", cropped)
-    pyr = [PolyExpansion(*[np.zeros(flow.dx.shape)] * 6)]  # only its shape is read
-    return pair_motion(pyr, pyr, fd, SessionConfig()), asked
+    config = SessionConfig()
+    span = _patient_span(fd, flow.dx.shape, config.conf_min)
+    if span is None:
+        return None, asked
+    pyr = [PolyExpansion(*[np.zeros(flow.dx.shape)] * 6)]  # never read: the flow is stubbed
+    return pair_motion(pyr, pyr, fd, span, config), asked
 
 
 class TestMotionStep:
     def test_uniform_flow(self):
         flow = FlowField(np.ones((40, 40)), np.zeros((40, 40)))
-        sample = relax(0.0, step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 0.7)
+        sample = relax(0.0, 0.0, step(flow, BoundingBox(5, 5, 20, 20), []), 0.7)
         assert sample.raw == pytest.approx(1.0)
         assert sample.smoothed == pytest.approx(0.7)
 
     def test_zero_flow_decay(self):
         flow = FlowField(np.zeros((40, 40)), np.zeros((40, 40)))
-        sample = relax(2.0, step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 0.7)
+        sample = relax(2.0, 0.0, step(flow, BoundingBox(5, 5, 20, 20), []), 0.7)
         assert sample.smoothed == pytest.approx(0.6)
 
     def test_alpha_one_no_memory(self):
         flow = FlowField(np.full((40, 40), 3.0), np.zeros((40, 40)))
-        sample = relax(99.0, step(flow, BoundingBox(5, 5, 20, 20), [], 0.0), 1.0)
+        sample = relax(99.0, 0.0, step(flow, BoundingBox(5, 5, 20, 20), []), 1.0)
         assert sample.smoothed == sample.raw
 
     def test_worker_masking_removes_worker_motion(self):
@@ -220,21 +225,39 @@ class TestMotionStep:
         dx[0:10, 0:20] = 5.0
         flow = FlowField(dx, np.zeros((40, 40)))
         patient = BoundingBox(0, 0, 20, 20)
-        with_mask = step(flow, patient, [BoundingBox(0, 0, 20, 10)], 0.0)
-        without = step(flow, patient, [], 0.0)
-        assert with_mask.raw == 0.0
-        assert without.raw > 0.0
+        with_mask = step(flow, patient, [BoundingBox(0, 0, 20, 10)])
+        without = step(flow, patient, [])
+        assert with_mask == 0.0
+        assert without > 0.0
 
     def test_degenerate_patient_carries_forward(self, monkeypatch):
         # a patient box with no pixel in the frame is a gap found before any flow
         flow = FlowField(np.zeros((40, 40)), np.zeros((40, 40)))
         raw, asked = motion_of_known_flow(monkeypatch, flow,
                                           frame(3.0, patients=[((100, 100, 5, 5), 0.9)]))
-        sample = relax(1.25, raw, 0.7)
+        sample = relax(1.25, 3.0, raw, 0.7)
         assert asked == []
         assert sample.gap
         assert sample.smoothed == 1.25
         assert sample.timestamp == 3.0
+
+    def test_patient_covering_no_pixel_builds_no_pyramid(self, monkeypatch):
+        # a patient inside the frame but between pixel centres is a gap
+        # decided before any pyramid is built
+        built = []
+
+        def counted(*args, fn=wardflow.pipeline.expand_pyramid):
+            built.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(wardflow.pipeline, "expand_pyramid", counted)
+        rng = np.random.default_rng(3)
+        frames = [ThermalFrame(rng.uniform(20.0, 37.0, size=(12, 16)), float(t))
+                  for t in range(6)]
+        series = [frame(float(t), patients=[((3.2, 3.2, 0.5, 0.5), 0.9)]) for t in range(6)]
+        report = analyze_session(frames, series, SessionConfig())
+        assert [s.gap for s in report.motion] == [True] * 5
+        assert built == []
 
     def test_geometric_convergence(self):
         # constant raw r: |motion_t - r| == (1-alpha)^t |motion_0 - r|
@@ -243,17 +266,17 @@ class TestMotionStep:
         alpha, r = 0.7, 2.0
         motion = 10.0
         for t in range(1, 30):
-            motion = relax(motion, step(flow, patient, [], float(t)), alpha).smoothed
+            motion = relax(motion, float(t), step(flow, patient, []), alpha).smoothed
             expected = (1 - alpha) ** t * abs(10.0 - r)
             assert abs(motion - r) == pytest.approx(expected, rel=1e-9)
 
     def test_span_matches_full_frame_reference(self, monkeypatch):
-        # the span-only arithmetic of a pair (the span pair_motion picks,
-        # the field over it, the mask and statistics) must give the bits
-        # of the full-frame copy, mask and boolean region, for every kind
-        # of box; a gap must not ask for flow
+        # the span-only arithmetic of a pair (the span the pipeline
+        # decides, the field over it, the mask and statistics) must give
+        # the bits of the full-frame copy, mask and boolean region, for
+        # every kind of box; a gap must not ask for flow
         rng = np.random.default_rng(21)
-        seen = {"gap": 0, "zeroed": 0}
+        seen = {"gap": 0, "zeroed": 0, "beside": 0}
 
         def box(x, y, w, h):
             return BoundingBox(float(x), float(y), float(w), float(h))
@@ -272,9 +295,9 @@ class TestMotionStep:
             else:            # fractional, possibly sticking out of the frame
                 patient = box(rng.uniform(-0.3, 1.0) * width, rng.uniform(-0.3, 1.0) * height,
                               rng.uniform(0.1, 1.3) * width, rng.uniform(0.1, 1.3) * height)
-            workers = []
+            workers, beside = [], False
             for _ in range(rng.integers(0, 4)):
-                how = rng.integers(0, 3)
+                how = rng.integers(0, 4)
                 if how == 0:    # covers the patient fully
                     workers.append(box(patient.x - 1, patient.y - 1,
                                        patient.w + 2, patient.h + 2))
@@ -283,24 +306,30 @@ class TestMotionStep:
                                        patient.y + rng.uniform(-1, 1) * patient.h,
                                        rng.uniform(0.2, 1.0) * patient.w,
                                        rng.uniform(0.2, 1.0) * patient.h))
-                else:           # away from the patient
+                elif how == 2:  # away from the patient, to its right
                     workers.append(box(patient.right + rng.uniform(0, 3), patient.y,
                                        rng.uniform(0.5, 5), rng.uniform(0.5, 5)))
+                else:           # wholly left of or above the patient, in the frame
+                    w, h = rng.uniform(0.5, 5, size=2)
+                    if rng.integers(0, 2):
+                        workers.append(box(patient.x - w - rng.uniform(0, 2), patient.y, w, h))
+                    else:
+                        workers.append(box(patient.x, patient.y - h - rng.uniform(0, 2), w, h))
+                    beside |= pixel_span(workers[-1], width, height) is not None
             expected = motion_raw_full_frame(flow, patient, workers)
             fd = FrameDetections(float(case), [Detection(patient, ObjectClass.PATIENT)]
                                  + [Detection(w, ObjectClass.WORKER) for w in workers])
-            sample, asked = motion_of_known_flow(monkeypatch, flow, fd)
-            assert sample.timestamp == float(case)
+            raw, asked = motion_of_known_flow(monkeypatch, flow, fd)
             if expected is None:
                 seen["gap"] += 1
-                assert sample.gap and sample.raw == 0.0
+                assert raw is None
                 assert asked == []
             else:
                 assert len(asked) == 1
-                assert not sample.gap
-                assert sample.raw.hex() == expected.hex(), (height, width, patient, workers)
+                assert raw.hex() == expected.hex(), (height, width, patient, workers)
                 seen["zeroed"] += any(intersection_area(patient, w) > 0 for w in workers)
-        assert seen["gap"] >= 250 and seen["zeroed"] >= 250
+                seen["beside"] += beside
+        assert seen["gap"] >= 250 and seen["zeroed"] >= 250 and seen["beside"] >= 150
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ def test_motion_step_calls_the_mask_and_stats_globals(monkeypatch):
         monkeypatch.setattr(wardflow.analytics, name, counted)
     patient = BoundingBox(2, 3, 10, 12)
     flow = FlowField(np.ones((12, 10)), np.zeros((12, 10)))  # the field over the patient
-    sample = wardflow.analytics.motion_step(flow, patient, pixel_span(patient, 30, 20),
-                                            [BoundingBox(8, 0, 6, 6)], 1.0)
-    assert not sample.gap
+    raw = wardflow.analytics.motion_step(flow, pixel_span(patient, 30, 20),
+                                         [BoundingBox(8, 0, 6, 6)])
+    assert raw > 0.0
     assert calls == {"mask_worker_regions": 1, "magnitude_stats": 1}

@@ -64,6 +64,17 @@ class TestSynth:
         assert main(["synth", "--scenario", str(scenario_path),
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("change", [
+        {"duration": "inf"}, {"duration": "nan"}, {"duration": float("inf")},
+        {"resolution": [64.5, 64]}, {"noise_sigma_c": float("nan")}, {"noise_sigma_c": -0.1}])
+    def test_malformed_scenario_exit_3(self, tmp_path, change):
+        # a declared value is honoured or rejected: a NaN or negative noise
+        # is not rendered as no noise
+        scenario_path = tmp_path / "bad.json"
+        scenario_path.write_text(json.dumps(dict(SCENARIO, **change)))
+        assert main(["synth", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "o")]) == 3
+
     def test_missing_scenario_exit_2(self, tmp_path):
         assert main(["synth", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -171,6 +182,28 @@ class TestAnalyze:
         assert main(["analyze", "--manifest", str(manifest), "--dets",
                      str(session / "truth_dets.jsonl"), "--out", str(tmp_path / "o")]) == 3
 
+    def test_overflowing_total_exit_4(self, session, tmp_path):
+        # a finite dt whose nursing total overflows: no "Infinity" is written
+        doc = json.loads((session / "manifest.json").read_text())
+        doc["dt"] = 1e308
+        manifest = session / "bad_manifest.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["analyze", "--manifest", str(manifest), "--dets",
+                     str(session / "truth_dets.jsonl"), "--out", str(tmp_path / "o")]) == 4
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("t", [float("nan"), "nan", float("inf"), -1.0, 1e308])
+    @pytest.mark.parametrize("source", ["dets", "blob"])
+    def test_malformed_manifest_time_exit_3(self, session, tmp_path, t, source):
+        doc = json.loads((session / "manifest.json").read_text())
+        doc["frames"][-1]["t"] = t
+        manifest = session / "bad_manifest.json"
+        manifest.write_text(json.dumps(doc))
+        detector = ["--dets", str(session / "truth_dets.jsonl")] if source == "dets" else ["--blob"]
+        assert main(["analyze", "--manifest", str(manifest), *detector,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+
     def test_riker_groups_in_report(self, session, tmp_path):
         riker = tmp_path / "riker.csv"
         riker.write_text("t,score\n4,3\n")
@@ -248,6 +281,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("change", [
         {"t": 1e308},                                                 # no microsecond key
+        {"t": 10**400},                                               # no float at all
+        {"dets": [{"cls": "patient", "box": [4, 4, 10**400, 5]}]},
         {"dets": [{"cls": ["patient"], "box": [4, 4, 5, 5]}]},        # unhashable class
         {"dets": [{"cls": "patient", "box": [4, 4, 5e-324, 5e-324]},  # an area of 0
                   {"cls": "worker", "box": [0, 0, 20, 20]}]},

@@ -7,7 +7,8 @@ from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
 from wardflow.flow import (FlowField, FlowParams, _dependency_cones, estimate_flow,
                            expand_pyramid, magnitude_stats, mask_worker_regions, poly_expand)
-from wardflow.pipeline import SessionConfig, pair_motion
+from wardflow.frames import ThermalFrame
+from wardflow.pipeline import SessionConfig, analyze_session
 
 
 def smooth_texture(seed, shape=(64, 64), sigma=3.0):
@@ -228,9 +229,10 @@ class TestMagnitudeStats:
 
         monkeypatch.setattr(wardflow.pipeline, "estimate_flow", no_flow)
         assert pixel_span(BoundingBox(1.2, 0, 0.5, 8), 8, 8) is None
-        pyr = expand_pyramid(np.zeros((8, 8)))
-        fd = FrameDetections(0.0, [Detection(BoundingBox(1.2, 0, 0.5, 8), ObjectClass.PATIENT)])
-        assert pair_motion(pyr, pyr, fd, SessionConfig()).gap
+        frames = [ThermalFrame(np.full((8, 8), 22.0), float(t)) for t in range(2)]
+        series = [FrameDetections(float(t), [Detection(BoundingBox(1.2, 0, 0.5, 8),
+                                                       ObjectClass.PATIENT)]) for t in range(2)]
+        assert analyze_session(frames, series, SessionConfig()).motion[0].gap
 
     def test_mask_permutation_invariant(self):
         rng = np.random.default_rng(5)
@@ -249,8 +251,7 @@ def masked(flow, patient, workers):
     """`mask_worker_regions` of the field over the patient's pixel span, and that span."""
     height, width = flow.dx.shape
     span = pixel_span(patient, width, height)
-    return mask_worker_regions(FlowField(flow.dx[span], flow.dy[span]), patient, span,
-                               workers), span
+    return mask_worker_regions(FlowField(flow.dx[span], flow.dy[span]), span, workers), span
 
 
 class TestMaskWorkerRegions:

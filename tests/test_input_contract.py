@@ -1,14 +1,16 @@
-"""Input contract: mutated detection JSONL and Riker CSV text never end
-`analyze` or `eval` in a traceback, only in a documented exit code
-(0 success, 2 I/O, 3 format, 4 config)."""
+"""Input contract: mutated detection JSONL, Riker CSV, manifest and
+scenario inputs never end `analyze`, `eval` or `synth` in a traceback,
+only in a documented exit code (0 success, 2 I/O, 3 format, 4 config)."""
 
+import copy
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wardflow.cli import main
@@ -42,7 +44,8 @@ EDITS = st.lists(st.tuples(
 # numbers first (they pass the type checks), non-finite and extreme ones
 # included, then any JSON value
 NUMBERS = st.one_of(st.floats(), st.integers(-2**70, 2**70),
-                    st.sampled_from([1e308, -1e308, 5e-324, 1e-320, 0.0, -0.0, 0.5, 1.0]))
+                    st.sampled_from([1e308, -1e308, 5e-324, 1e-320, 0.0, -0.0, 0.5, 1.0,
+                                     10**400]))
 JSON_VALUES = st.one_of(NUMBERS, st.recursive(
     st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=8)),
     lambda inner: st.one_of(st.lists(inner, max_size=5),
@@ -56,6 +59,30 @@ VALUE_EDITS = st.lists(st.tuples(
     st.integers(0, 10), st.sampled_from(["t", "dets", "det", "cls", "conf", "box", "coord"]),
     st.integers(0, 3), st.integers(0, 3), JSON_VALUES,
 ), max_size=4)
+
+# (entry, field, new value) of the manifest: a frame entry's "t" or
+# "path", the entry itself, one resolution element, or a top-level field
+MANIFEST_EDITS = st.lists(st.tuples(
+    st.integers(0, 5), st.sampled_from(["t", "path", "entry", "size", "dt", "resolution",
+                                        "frames"]),
+    st.one_of(JSON_VALUES, st.sampled_from(["nan", "inf", "-1", "1e308", "frame_00000.npy"])),
+), max_size=4)
+
+# A scenario is rendered as declared, so its numbers stay small: a large
+# finite duration or resolution is a valid request for a large render
+# (10**400 is no float, and no array dimension, so it renders nothing).
+SCENARIO_NUMBERS = st.one_of(st.floats(-64, 64), st.integers(-64, 64),
+                             st.sampled_from([math.nan, math.inf, -math.inf, 32.5]))
+SCENARIO_VALUES = st.one_of(
+    SCENARIO_NUMBERS, st.lists(SCENARIO_NUMBERS, max_size=5),
+    st.sampled_from(["inf", "nan", "-1", "4", "x", None, True, {}, 10**400]))
+
+# (field, script or keyframe index, new value) of the scenario
+SCENARIO_EDITS = st.lists(st.tuples(
+    st.sampled_from(["duration", "resolution", "size", "noise_sigma_c", "background_c",
+                     "body_c", "patient", "workers", "enter", "exit", "t", "box", "coord"]),
+    st.integers(0, 3), SCENARIO_VALUES,
+), min_size=1, max_size=4)
 
 # (row, column, new cell) of the Riker CSV
 CELL_EDITS = st.lists(st.tuples(
@@ -81,6 +108,59 @@ def edit_values(text, edits):
         elif name != "coord":
             dets[i % len(dets)][name] = value
     return "\n".join(json.dumps(obj) for obj in lines) + "\n"
+
+
+def edit_manifest(text, edits):
+    doc = json.loads(text)
+    for k, name, value in edits:
+        frames = doc["frames"]
+        if name in ("dt", "resolution", "frames"):
+            doc[name] = value
+        elif name == "size":
+            if isinstance(doc.get("resolution"), list) and doc["resolution"]:
+                doc["resolution"][k % len(doc["resolution"])] = value
+        elif not isinstance(frames, list) or not frames:
+            continue
+        elif name == "entry":
+            frames[k % len(frames)] = value
+        elif isinstance(frames[k % len(frames)], dict):
+            frames[k % len(frames)][name] = value
+    return json.dumps(doc) + "\n"
+
+
+def edit_scenario(edits):
+    doc = copy.deepcopy(SCENARIO)
+    for name, k, value in edits:
+        if name in ("duration", "resolution", "noise_sigma_c", "background_c", "body_c",
+                    "patient", "workers"):
+            doc[name] = value
+            continue
+        if name == "size":
+            if isinstance(doc.get("resolution"), list) and doc["resolution"]:
+                doc["resolution"][k % len(doc["resolution"])] = value
+            continue
+        workers = doc["workers"] if isinstance(doc["workers"], list) else []
+        script = [doc["patient"], *workers][k % (1 + len(workers))]
+        if not isinstance(script, dict):
+            continue
+        if name in ("enter", "exit"):
+            script[name] = value
+            continue
+        keyframes = script.get("keyframes")
+        if not isinstance(keyframes, list) or not keyframes:
+            continue
+        keyframe = keyframes[k % len(keyframes)]
+        if not isinstance(keyframe, dict):
+            continue
+        if name != "coord":
+            keyframe[name] = value
+        elif isinstance(keyframe.get("box"), list) and keyframe["box"]:
+            keyframe["box"][k % len(keyframe["box"])] = value
+    return json.dumps(doc)
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} written into a JSON output")
 
 
 def edit_cells(text, edits):
@@ -159,5 +239,38 @@ def test_eval_exits_with_a_documented_code(session, values, dets_edits, which):
             text = mutated if which in (name, "both") else truth
             (tmp / f"{name}.jsonl").write_text(text, encoding="utf-8", errors="surrogatepass")
         code = run(["eval", "--dets", str(tmp / "dets.jsonl"), "--gt", str(tmp / "gt.jsonl"),
+                    "--out", str(tmp / "out")])
+    assert code in EXIT_CODES
+
+
+@CONTRACT
+@example(values=[(3, "t", 1e308)], text_edits=[], source="dets")
+@example(values=[(3, "t", "nan")], text_edits=[], source="blob")
+@given(values=MANIFEST_EDITS, text_edits=st.one_of(st.just([]), EDITS),
+       source=st.sampled_from(["dets", "blob"]))
+def test_analyze_manifest_exits_with_a_documented_code(session, values, text_edits, source):
+    manifest = mutate(edit_manifest((session / "manifest.json").read_text(), values), text_edits)
+    # frame paths resolve against the manifest's directory, the session's
+    mutated = session / "mutated_manifest.json"
+    mutated.write_text(manifest, encoding="utf-8", errors="surrogatepass")
+    detector = (["--dets", str(session / "truth_dets.jsonl")] if source == "dets"
+                else ["--blob", "--blob-min-area", "4"])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = run(["analyze", "--manifest", str(mutated), *detector, "--out", str(out)])
+        assert code in EXIT_CODES
+        if code == 0:
+            json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+
+
+@CONTRACT
+@example(edits=[("duration", 0, "inf")])
+@example(edits=[("size", 0, 32.5)])
+@given(edits=SCENARIO_EDITS)
+def test_synth_exits_with_a_documented_code(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "scenario.json").write_text(edit_scenario(edits))
+        code = run(["synth", "--scenario", str(tmp / "scenario.json"),
                     "--out", str(tmp / "out")])
     assert code in EXIT_CODES
