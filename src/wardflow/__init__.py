@@ -19,7 +19,7 @@ from .flow import (FlowField, FlowParams, estimate_flow, expand_pyramid,
                    magnitude_stats, mask_worker_regions, poly_expand)
 from .frames import (SequenceManifest, ThermalFrame, auto_window,
                      normalize_to_gray, read_npy_frame, write_npy_frame)
-from .pipeline import SessionConfig, analyze_session
+from .pipeline import SessionConfig, analyze_session, tally
 from .synth import ActorScript, Keyframe, Scenario, render
 
 __version__ = "0.1.0"
@@ -36,5 +36,5 @@ __all__ = [
     "intersection_area", "iou", "magnitude_stats", "mask_worker_regions",
     "mean_ap", "motion_step", "normalize_to_gray", "parse_detections_jsonl",
     "parse_duration", "physical_interaction", "poly_expand", "read_npy_frame",
-    "render", "time_error", "write_npy_frame",
+    "render", "tally", "time_error", "write_npy_frame",
 ]

@@ -15,15 +15,15 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .analytics import SessionReport, count_workers, interaction_time, read_riker_csv
-from .boxes import BoundingBox, FrameDetections, ObjectClass, match_detections
+from .analytics import SessionReport, read_riker_csv
+from .boxes import BoundingBox, ObjectClass, match_detections
 from .detect import blob_detect, parse_detections_jsonl
 from .errors import FormatError, UnsupportedError, ValidationError
 from .evaluation import (DEFAULT_IOU_THRESHOLDS, APTable, counting_accuracy,
                          format_duration, mean_ap, time_error)
 from .flow import FlowParams
 from .frames import ThermalFrame, load_manifest, load_sequence
-from .pipeline import SessionConfig, analyze_session
+from .pipeline import SessionConfig, analyze_session, tally
 from .svgplot import Panel, Series, render_chart
 from .synth import export_session, load_scenario, render
 
@@ -186,11 +186,6 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_detections_file(path) -> list[FrameDetections]:
-    with open(path) as fh:
-        return parse_detections_jsonl(fh)
-
-
 def _peek_resolution(frames: Iterator[ThermalFrame]):
     """The first frame's (width, height), or None, and the unconsumed stream."""
     first = next(frames, None)
@@ -215,8 +210,7 @@ def _cmd_analyze(args) -> int:
     frames = load_sequence(manifest, manifest_path.parent)
     if args.dets:
         resolution, frames = _peek_resolution(frames)
-        with open(args.dets) as fh:
-            dets = parse_detections_jsonl(fh, resolution)
+        dets = parse_detections_jsonl(Path(args.dets).read_text(), resolution)
     else:
         def dets(frame):
             return blob_detect(frame, args.blob_min_temp, args.blob_min_area, bed)
@@ -232,31 +226,24 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _per_second_series(frames: list[FrameDetections], conf_min: float,
-                       tau: float) -> tuple[list[int], list[int]]:
-    """Worker counts and interaction indicators, one per frame."""
-    return ([count_workers(f, conf_min) for f in frames],
-            interaction_time(frames, tau, conf_min).indicators)
-
-
 def _cmd_eval(args) -> int:
     thresholds = tuple(float(v) for v in args.thresholds.split(",") if v)
     if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
         raise ValueError(f"bad IoU thresholds {args.thresholds!r}")
     config = SessionConfig(tau=args.tau, dt=args.dt, conf_min=args.conf_min)
-    dets = _load_detections_file(args.dets)
-    gts = _load_detections_file(args.gt)
+    dets = parse_detections_jsonl(Path(args.dets).read_text())
+    gts = parse_detections_jsonl(Path(args.gt).read_text())
 
     preds = match_detections(gts, dets)
     table = mean_ap(preds, gts, thresholds)
-    pred_counts, pred_pi = _per_second_series(preds, config.conf_min, config.tau)
-    label_counts, label_pi = _per_second_series(gts, config.conf_min, config.tau)
-    worker_acc = counting_accuracy(pred_counts, label_counts)
-    pi_acc = counting_accuracy(pred_pi, label_pi)
+    pred, label = tally(preds, config), tally(gts, config)
+    worker_acc = counting_accuracy(pred.per_second_worker_counts,
+                                   label.per_second_worker_counts)
+    pi_acc = counting_accuracy(pred.per_second_interaction, label.per_second_interaction)
     _write_files(Path(args.out), _eval_files(
         table, args.name, worker_acc, pi_acc,
-        nursing=(sum(pred_counts) * config.dt, sum(label_counts) * config.dt),
-        interaction=(sum(pred_pi) * config.dt, sum(label_pi) * config.dt)))
+        nursing=(pred.nursing_time_s, label.nursing_time_s),
+        interaction=(pred.interaction_time_s, label.interaction_time_s)))
     overall = f"mAP={table.overall:.4f} " if table.overall is not None else ""
     print(f"{overall}worker_acc={worker_acc:.4f} pi_acc={pi_acc:.4f}")
     return EXIT_OK

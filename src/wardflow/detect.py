@@ -22,8 +22,10 @@ _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _CLASS_NAMES = {c.value: c for c in ObjectClass}
 
 
-def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) -> list[FrameDetections]:
-    """Parse per-frame detections, one JSON object per line.
+def parse_detections_jsonl(text: str,
+                           resolution: tuple[int, int] | None = None) -> list[FrameDetections]:
+    """Parse per-frame detections from JSONL text, one JSON object per
+    line; lines end at a newline only, as a text-mode file reads them.
 
     Line schema: {"t": seconds, "dets": [{"cls": "patient"|"worker",
     "conf": r, "box": [x, y, w, h]}, ...]}.  "conf" defaults to 1.0 so
@@ -33,14 +35,10 @@ def parse_detections_jsonl(source, resolution: tuple[int, int] | None = None) ->
     the same timestamp (to the microsecond the timestamp joins match on)
     are rejected.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
     frames = []
     first_line = {}  # timestamp key -> line that used it
     outside = []  # timestamps of dropped boxes
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

@@ -15,14 +15,6 @@ DEFAULT_IOU_THRESHOLDS = (0.5, 0.7, 0.9)
 
 
 @dataclass
-class APResult:
-    ap: float | None  # None when the class has no ground truth
-    n_gt: int
-    recalls: list[float]
-    precisions: list[float]
-
-
-@dataclass
 class APTable:
     """Per-class AP at each threshold plus the row/column averages."""
 
@@ -33,8 +25,9 @@ class APTable:
 
 
 def average_precision(dets: list[FrameDetections], gts: list[FrameDetections],
-                      cls: ObjectClass, iou_thresh: float) -> APResult:
-    """All-points-interpolated AP for one class at one IoU threshold.
+                      cls: ObjectClass, iou_thresh: float) -> float | None:
+    """All-points-interpolated AP for one class at one IoU threshold, or
+    None when the class has no ground truth.
 
     `dets` must be aligned with `gts`: `dets[i]` holds the predictions
     for the frame of `gts[i]`, as `match_detections(gts, dets)` returns
@@ -55,7 +48,7 @@ def average_precision(dets: list[FrameDetections], gts: list[FrameDetections],
         gt_boxes.append([g.box for g in truth.detections if g.cls == cls])
     n_gt = sum(len(b) for b in gt_boxes)
     if n_gt == 0:
-        return APResult(None, 0, [], [])
+        return None
     ranked.sort(key=lambda r: -r[0])
 
     matched = [set() for _ in gt_boxes]
@@ -92,7 +85,7 @@ def average_precision(dets: list[FrameDetections], gts: list[FrameDetections],
         if flag:
             ap += (recalls[k] - prev_r) * envelope[k]
             prev_r = recalls[k]
-    return APResult(ap, n_gt, recalls, precisions)
+    return ap
 
 
 def mean_ap(dets: list[FrameDetections], gts: list[FrameDetections],
@@ -107,16 +100,10 @@ def mean_ap(dets: list[FrameDetections], gts: list[FrameDetections],
         raise ValueError("need at least one IoU threshold")
     per_class: dict[ObjectClass, dict[float, float]] = {}
     for cls in ObjectClass:
-        row = {}
-        skipped = False
-        for thr in thresholds:
-            result = average_precision(dets, gts, cls, thr)
-            if result.ap is None:
-                warnings.warn(f"no ground truth for class {cls.value}; excluded from mAP")
-                skipped = True
-                break
-            row[thr] = result.ap
-        if not skipped:
+        row = {thr: average_precision(dets, gts, cls, thr) for thr in thresholds}
+        if None in row.values():
+            warnings.warn(f"no ground truth for class {cls.value}; excluded from mAP")
+        else:
             per_class[cls] = row
     class_averages = {
         cls: sum(row.values()) / len(row) for cls, row in per_class.items()

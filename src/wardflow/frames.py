@@ -141,6 +141,14 @@ def auto_window(frame: ThermalFrame) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def check_resolution(value) -> tuple[int, int]:
+    """`value` as (width, height): two positive ints, bools refused."""
+    w, h = value
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (w, h)):
+        raise ValueError(f"resolution must be two positive integers, got {value!r}")
+    return w, h
+
+
 @dataclass
 class FrameEntry:
     path: str
@@ -182,9 +190,8 @@ def load_manifest(path) -> SequenceManifest:
     resolution = None
     if doc.get("resolution") is not None:
         try:
-            w, h = doc["resolution"]
-            resolution = (int(w), int(h))
-        except (TypeError, ValueError, OverflowError) as exc:
+            resolution = check_resolution(doc["resolution"])
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"manifest resolution must be [width, height]: {exc}") from exc
     return SequenceManifest(frames, dt, resolution)
 

@@ -7,7 +7,7 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .analytics import (MotionSample, RikerRecord, SessionReport, align_riker,
                         count_workers, interaction_time, motion_step, relax)
@@ -116,12 +116,13 @@ def analyze_session(frames: Iterable[ThermalFrame], dets: list[FrameDetections] 
                     timeline: Sequence | None = None) -> SessionReport:
     """Run the full analytics over a session, reading each frame once.
 
-    `frames` may be a list or a one-pass stream such as `load_sequence`;
-    no frame is kept beyond the flow pairs in flight.  `dets` is either
-    per-frame detections, joined to `timeline` by timestamp, or a
-    detector run on each frame as it streams by.  `timeline` holds one
-    item with a `.timestamp` per frame (the manifest's entries); it
-    defaults to `frames`, which must then be a list.
+    `frames` are `ThermalFrame`s, as a list or a one-pass stream such as
+    `load_sequence`; no frame is kept beyond the flow pairs in flight.
+    `dets` is either per-frame detections, joined to `timeline` by
+    timestamp, or a detector run on each frame as it streams by.
+    `timeline` holds one item with a `.timestamp` per frame (the
+    manifest's entries); it defaults to `frames`, which must then be a
+    list.
 
     The motion score is flow between consecutive normalized frames,
     masked to the current patient box with worker overlaps zeroed, and
@@ -129,7 +130,8 @@ def analyze_session(frames: Iterable[ThermalFrame], dets: list[FrameDetections] 
     whose current patient covers a pixel, since every other sample is
     a gap; pairs run on a thread pool sized by `os.cpu_count()`, so
     memory is bounded by the pool size, not the session length, and the
-    relaxation then runs over the pairs' scalars in frame order.
+    relaxation then runs over the pairs' scalars in frame order.  The
+    per-second counts, flags and totals are `tally`'s.
     """
     config = config or SessionConfig()
     if callable(dets):
@@ -150,17 +152,23 @@ def analyze_session(frames: Iterable[ThermalFrame], dets: list[FrameDetections] 
         motion = []
         for _ in session:  # validates every frame and runs the detector
             pass
+    return replace(tally(per_frame, config), motion=motion,
+                   riker=align_riker(motion, riker, config.riker_window) if riker else [])
 
+
+def tally(per_frame: list[FrameDetections], config: SessionConfig) -> SessionReport:
+    """The per-second rule over one detection series: worker counts,
+    interaction flags and events, patient gaps, and the nursing and
+    interaction seconds (counts and flags summed, times `dt`).  The
+    report has no motion and no Riker groups."""
     counts = [count_workers(fd, config.conf_min) for fd in per_frame]
     summary = interaction_time(per_frame, config.tau, config.conf_min)
-    groups = align_riker(motion, riker, config.riker_window) if riker else []
     return SessionReport(
         nursing_time_s=sum(counts) * config.dt,
         interaction_time_s=sum(summary.indicators) * config.dt,
         events=summary.events,
-        motion=motion,
+        motion=[],
         per_second_worker_counts=counts,
         per_second_interaction=summary.indicators,
         gaps=sorted(set(summary.missing_patient_times)),
-        riker=groups,
     )

@@ -18,7 +18,7 @@ from .analytics import physical_interaction
 from .boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
 from .detect import detections_to_jsonl
 from .errors import FormatError
-from .frames import (FrameEntry, SequenceManifest, ThermalFrame,
+from .frames import (FrameEntry, SequenceManifest, ThermalFrame, check_resolution,
                      save_manifest, write_npy_frame)
 
 # Overlap threshold of the interaction truth; the analytics' default tau.
@@ -47,8 +47,10 @@ class ActorScript:
         if not self.keyframes:
             raise ValueError("script needs at least one keyframe")
         times = [k.t for k in self.keyframes]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("keyframe times must be strictly increasing")
+        if not all(map(math.isfinite, times)) or any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError(f"keyframe times must be finite and strictly increasing, got {times}")
+        if math.isnan(self.enter) or math.isnan(self.exit):
+            raise ValueError(f"enter and exit must be numbers, got {self.enter} and {self.exit}")
 
     def box_at(self, t: float) -> BoundingBox | None:
         if not self.enter <= t < self.exit:
@@ -83,9 +85,7 @@ class Scenario:
     def __post_init__(self):
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
-        w, h = self.resolution
-        if not all(isinstance(v, int) and v > 0 for v in (w, h)):
-            raise ValueError(f"resolution must be two positive integers, got {self.resolution}")
+        w, h = check_resolution(self.resolution)
         if not 0 <= self.noise_sigma_c < math.inf:
             raise ValueError(f"noise_sigma_c must be finite and >= 0, got {self.noise_sigma_c}")
         for script in [self.patient, *self.workers]:

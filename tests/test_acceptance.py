@@ -17,7 +17,7 @@ from wardflow.evaluation import (average_precision, format_duration, mean_ap,
                                  parse_duration, time_error)
 from wardflow.analytics import motion_step, physical_interaction, relax
 from wardflow.flow import FlowField, FlowParams, estimate_flow, expand_pyramid, poly_expand
-from wardflow.pipeline import SessionConfig, analyze_session
+from wardflow.pipeline import SessionConfig, tally
 
 
 def _random_box(rng, grid=64):
@@ -68,9 +68,8 @@ def test_criterion_3_nursing_time_sum():
     counts = [int(rng.integers(0, 5)) for _ in range(200)]
     series = [FrameDetections(float(t), [worker] * m) for t, m in enumerate(counts)]
 
-    def nursing_time(series, dt=1.0):  # the series is its own timeline
-        return analyze_session(series, series, SessionConfig(dt=dt),
-                               compute_motion=False).nursing_time_s
+    def nursing_time(series, dt=1.0):
+        return tally(series, SessionConfig(dt=dt)).nursing_time_s
 
     assert nursing_time(series, dt=1.0) == sum(counts)
     assert nursing_time(series, dt=2.5) == sum(counts) * 2.5
@@ -156,10 +155,10 @@ def test_criterion_7_average_precision_oracle():
     W = ObjectClass.WORKER
     gts = [FrameDetections(0.0, [Detection(BoundingBox(0, 0, 10, 10), W, 1.0)])]
     dets = [FrameDetections(0.0, [Detection(BoundingBox(0, 0, 10, 12), W, 0.9)])]
-    assert average_precision(dets, gts, W, 0.5).ap == 1.0
+    assert average_precision(dets, gts, W, 0.5) == 1.0
     dets2 = [FrameDetections(0.0, [Detection(BoundingBox(40, 40, 5, 5), W, 0.9),
                                    Detection(BoundingBox(0, 0, 10, 10), W, 0.5)])]
-    assert average_precision(dets2, gts, W, 0.5).ap == 0.5
+    assert average_precision(dets2, gts, W, 0.5) == 0.5
 
     rng = np.random.default_rng(103)
     for _ in range(200):
@@ -177,7 +176,7 @@ def test_criterion_7_average_precision_oracle():
             det_frames.append(FrameDetections(
                 float(t), [Detection(b, W, float(rng.random())) for b in boxes(8)]))
         for thr in (0.3, 0.5):
-            assert (average_precision(det_frames, gt_frames, W, thr).ap
+            assert (average_precision(det_frames, gt_frames, W, thr)
                     == ap_bruteforce(det_frames, gt_frames, W, thr))
     print("PASS criterion 7: AP equals brute-force PR enumeration on 200 random "
           "instances; anchor cases 1.0 and 0.5")

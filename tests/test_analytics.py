@@ -15,7 +15,8 @@ from wardflow.cli import _analyze_files
 from wardflow.errors import FormatError
 from wardflow.flow import FlowField, PolyExpansion
 from wardflow.frames import ThermalFrame
-from wardflow.pipeline import SessionConfig, _patient_span, analyze_session, pair_motion
+from wardflow.pipeline import (SessionConfig, _patient_span, analyze_session, pair_motion,
+                               tally)
 
 
 def frame(t, workers=(), patients=()):
@@ -28,8 +29,8 @@ W = ((0, 0, 10, 10), 0.9)
 
 
 def session_report(series, dt=1.0):
-    """The session rule applied to a detection series that is its own timeline."""
-    return analyze_session(series, series, SessionConfig(dt=dt), compute_motion=False)
+    """The per-second rule applied to a detection series."""
+    return tally(series, SessionConfig(dt=dt))
 
 
 def nursing(series, dt=1.0):

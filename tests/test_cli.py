@@ -66,10 +66,22 @@ class TestSynth:
 
     @pytest.mark.parametrize("change", [
         {"duration": "inf"}, {"duration": "nan"}, {"duration": float("inf")},
-        {"resolution": [64.5, 64]}, {"noise_sigma_c": float("nan")}, {"noise_sigma_c": -0.1}])
+        {"resolution": [64.5, 64]}, {"noise_sigma_c": float("nan")}, {"noise_sigma_c": -0.1},
+        # a bool is no width, even where every box fits in one column
+        {"resolution": [True, 64], "workers": [],
+         "patient": {"keyframes": [{"t": 0, "box": [0, 0, 1, 10]}]}},
+        {"patient": {"keyframes": [{"t": float("-inf"), "box": [10, 20, 24, 30]},
+                                   {"t": 8, "box": [14, 20, 24, 30]}]}},
+        {"patient": {"keyframes": [{"t": 0, "box": [10, 20, 24, 30]},
+                                   {"t": float("inf"), "box": [14, 20, 24, 30]}]}},
+        {"workers": [{"enter": float("nan"), "exit": 6,
+                      "keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}]},
+        {"workers": [{"enter": 2, "exit": float("nan"),
+                      "keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}]}])
     def test_malformed_scenario_exit_3(self, tmp_path, change):
         # a declared value is honoured or rejected: a NaN or negative noise
-        # is not rendered as no noise
+        # is not rendered as no noise, an infinite last keyframe is not
+        # ignored and a NaN window does not hide the actor
         scenario_path = tmp_path / "bad.json"
         scenario_path.write_text(json.dumps(dict(SCENARIO, **change)))
         assert main(["synth", "--scenario", str(scenario_path),
@@ -164,14 +176,34 @@ class TestAnalyze:
                      "--out", str(tmp_path / "e")]) == 3
 
     @pytest.mark.parametrize("resolution", [5, ["a", "b"], [None, None], [64, 64, 1],
-                                            [64, 63]])
+                                            [64, 63], [64.9, 64.5], [64.0, 64]])
     def test_malformed_manifest_resolution_exit_3(self, session, tmp_path, resolution):
+        # a size that matches the frames only once truncated is no size
         doc = json.loads((session / "manifest.json").read_text())
         doc["resolution"] = resolution
         manifest = session / "bad_manifest.json"
         manifest.write_text(json.dumps(doc))
         assert main(["analyze", "--manifest", str(manifest), "--dets",
                      str(session / "truth_dets.jsonl"), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("size, declared", [((1, 20), [True, 20]), ((24, 1), [24, True])])
+    def test_manifest_resolution_bool_exit_3(self, tmp_path, size, declared):
+        # a bool is no size, even on frames one pixel wide or high, where
+        # it would match as the number 1
+        w, h = size
+        scenario = {"duration": 2, "resolution": [w, h], "noise_sigma_c": 0.0,
+                    "patient": {"keyframes": [{"t": 0, "box": [0, 0, 1, 1]}]}}
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        session = tmp_path / "session"
+        assert main(["synth", "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(session)]) == 0
+        doc = json.loads((session / "manifest.json").read_text())
+        doc["resolution"] = declared
+        (session / "manifest.json").write_text(json.dumps(doc))
+        assert main(["analyze", "--manifest", str(session / "manifest.json"), "--dets",
+                     str(session / "truth_dets.jsonl"), "--no-motion",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("dt", [None, [1], "abc", float("nan"), float("inf")])
     def test_malformed_manifest_dt_exit_3(self, session, tmp_path, dt):

@@ -39,28 +39,28 @@ class TestAveragePrecision:
     def test_single_perfect_match(self):
         gts = [det_frame(0, [((0, 0, 10, 10), W, 1.0)])]
         dets = [det_frame(0, [((0, 0, 10, 14), W, 0.9)])]  # IoU ~0.71
-        result = average_precision(dets, gts, W, 0.5)
-        assert result.ap == 1.0
+        assert average_precision(dets, gts, W, 0.5) == 1.0
 
     def test_false_above_true_gives_half(self):
         gts = [det_frame(0, [((0, 0, 10, 10), W, 1.0)])]
         dets = [det_frame(0, [((20, 20, 5, 5), W, 0.9),    # IoU 0, ranked first
                               ((0, 0, 10, 10), W, 0.5)])]
-        result = average_precision(dets, gts, W, 0.5)
-        assert result.ap == 0.5
+        assert average_precision(dets, gts, W, 0.5) == 0.5
 
     def test_no_ground_truth_is_undefined(self):
         gts = [det_frame(0, [])]
         dets = [det_frame(0, [((0, 0, 5, 5), W, 0.9)])]
-        assert average_precision(dets, gts, W, 0.5).ap is None
+        assert average_precision(dets, gts, W, 0.5) is None
 
     def test_duplicate_detection_on_one_gt_is_fp(self):
-        gts = [det_frame(0, [((0, 0, 10, 10), W, 1.0)])]
+        # the duplicate ranks between two true positives, so its false
+        # positive lowers the precision at which the second truth is found
+        gts = [det_frame(0, [((0, 0, 10, 10), W, 1.0), ((20, 20, 10, 10), W, 1.0)])]
         dets = [det_frame(0, [((0, 0, 10, 10), W, 0.9),
-                              ((0, 0, 10, 11), W, 0.8)])]
-        result = average_precision(dets, gts, W, 0.5)
-        assert result.ap == 1.0
-        assert result.precisions == [1.0, 0.5]
+                              ((0, 0, 10, 11), W, 0.8),
+                              ((20, 20, 10, 10), W, 0.7)])]
+        # recall 0.5 at precision 1, then recall 1 at precision 2/3
+        assert average_precision(dets, gts, W, 0.5) == 0.5 * 1.0 + 0.5 * (2 / 3)
 
     def test_matches_bruteforce_on_random_instances(self):
         rng = np.random.default_rng(2024)
@@ -68,18 +68,18 @@ class TestAveragePrecision:
             dets, gts = random_instance(rng)
             for thr in (0.3, 0.5, 0.7):
                 expected = ap_bruteforce(dets, gts, W, thr)
-                got = average_precision(dets, gts, W, thr).ap
+                got = average_precision(dets, gts, W, thr)
                 assert got == expected
 
     def test_confidence_rescaling_invariant(self):
         rng = np.random.default_rng(7)
         dets, gts = random_instance(rng)
-        base = average_precision(dets, gts, W, 0.5).ap
+        base = average_precision(dets, gts, W, 0.5)
         scaled = [FrameDetections(f.timestamp,
                                   [Detection(d.box, d.cls, d.confidence * 0.5)
                                    for d in f.detections])
                   for f in dets]
-        assert average_precision(scaled, gts, W, 0.5).ap == base
+        assert average_precision(scaled, gts, W, 0.5) == base
 
 
 class TestMeanAp:

@@ -1,10 +1,13 @@
-"""Input contract: mutated detection JSONL, Riker CSV, manifest and
-scenario inputs never end `analyze`, `eval` or `synth` in a traceback,
-only in a documented exit code (0 success, 2 I/O, 3 format, 4 config)."""
+"""Input contract: mutated detection JSONL, Riker CSV, manifest, NPY
+frame and scenario inputs never end `analyze`, `eval` or `synth` in a
+traceback, only in a documented exit code (0 success, 2 I/O, 3 format,
+4 config)."""
 
 import copy
 import json
 import math
+import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -83,6 +86,50 @@ SCENARIO_EDITS = st.lists(st.tuples(
                      "body_c", "patient", "workers", "enter", "exit", "t", "box", "coord"]),
     st.integers(0, 3), SCENARIO_VALUES,
 ), min_size=1, max_size=4)
+
+# (part, where, value) edits of one NPY frame's bytes: a header byte, the
+# header length field, the shape or descr text, a truncation, or one
+# payload float
+NPY_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("header_byte"), st.floats(0.0, 1.0), st.integers(0, 255)),
+    st.tuples(st.just("header_len"), st.floats(0.0, 1.0), st.integers(0, 2**16 - 1)),
+    st.tuples(st.just("shape"), st.floats(0.0, 1.0), st.one_of(
+        st.sampled_from(["20, 24", "24, 20", "0, 24", "20,", "20, 24, 1", "", "-20, 24",
+                         "99999999999, 2", "2, 240", "020, 24", "20, 24.0"]),
+        st.text("0123456789, -", max_size=10))),
+    st.tuples(st.just("descr"), st.floats(0.0, 1.0), st.sampled_from(
+        ["<f4", "<f8", ">f8", "<i4", "|b1", "<f2", "<c16", "O", "", "<f8'", "f8"])),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0), st.just(None)),
+    st.tuples(st.just("payload"), st.floats(0.0, 1.0), st.one_of(
+        st.floats(), st.sampled_from([36.0, -20.0, 120.0, -20.5, 120.5, 1e308])))),
+    min_size=1, max_size=4)
+
+
+def edit_npy(data, edits):
+    """`data` with each edit applied; a shape or descr edit rewrites the
+    header and its length field, as a writer of that header would."""
+    for part, where, value in edits:
+        header_end = 10 + int.from_bytes(data[8:10], "little")  # 10 on a cut file
+        if part == "header_byte":
+            at = int(where * min(header_end, len(data) - 1))
+            data = data[:at] + bytes([value]) + data[at + 1:]
+        elif part == "header_len":
+            data = data[:8] + struct.pack("<H", value) + data[10:]
+        elif part in ("shape", "descr"):
+            pattern = r"'shape': \(([^)]*)\)" if part == "shape" else r"'descr': '([^']*)'"
+            header = data[10:header_end].decode("latin1")
+            found = re.search(pattern, header)
+            if found:
+                header = header[:found.start(1)] + value + header[found.end(1):]
+                data = (data[:8] + struct.pack("<H", len(header)) + header.encode("latin1")
+                        + data[header_end:])
+        elif part == "truncate":
+            data = data[:int(where * len(data))]
+        elif len(data) >= header_end + 8:
+            at = header_end + 8 * int(where * ((len(data) - header_end) // 8 - 1))
+            data = data[:at] + struct.pack("<d", value) + data[at + 8:]
+    return data
+
 
 # (row, column, new cell) of the Riker CSV
 CELL_EDITS = st.lists(st.tuples(
@@ -264,7 +311,28 @@ def test_analyze_manifest_exits_with_a_documented_code(session, values, text_edi
 
 
 @CONTRACT
+@given(frame=st.integers(0, 3), edits=NPY_EDITS, source=st.sampled_from(["dets", "blob"]))
+def test_analyze_npy_exits_with_a_documented_code(session, frame, edits, source):
+    manifest = json.loads((session / "manifest.json").read_text())
+    entry = manifest["frames"][frame]
+    (session / "mutated.npy").write_bytes(edit_npy((session / entry["path"]).read_bytes(), edits))
+    entry["path"] = "mutated.npy"
+    (session / "npy_manifest.json").write_text(json.dumps(manifest))
+    detector = (["--dets", str(session / "truth_dets.jsonl")] if source == "dets"
+                else ["--blob", "--blob-min-area", "4"])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = run(["analyze", "--manifest", str(session / "npy_manifest.json"), *detector,
+                    "--out", str(out)])
+        assert code in EXIT_CODES
+        if code == 0:
+            json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+
+
+@CONTRACT
 @example(edits=[("duration", 0, "inf")])
+@example(edits=[("size", 0, True), ("patient", 0, {"keyframes": [{"t": 0, "box": [0, 0, 1, 4]}]}),
+                ("workers", 0, [])])
 @example(edits=[("size", 0, 32.5)])
 @given(edits=SCENARIO_EDITS)
 def test_synth_exits_with_a_documented_code(edits):

@@ -65,11 +65,11 @@ def test_analyze_dets_files(session, tmp_path):
                      "--out", str(out)]) == 0
     manifest = load_manifest(session / "manifest.json")
     with pytest.warns(UserWarning, match=r"1 detection frames .* t=99\.5"):
-        with open(session / "dets.jsonl") as fh:
-            report = analyze_session(load_sequence(manifest, session),
-                                     parse_detections_jsonl(fh, (64, 48)),
-                                     SessionConfig(riker_window=3.0), read_riker_csv(RIKER),
-                                     timeline=manifest.frames)
+        report = analyze_session(load_sequence(manifest, session),
+                                 parse_detections_jsonl((session / "dets.jsonl").read_text(),
+                                                        (64, 48)),
+                                 SessionConfig(riker_window=3.0), read_riker_csv(RIKER),
+                                 timeline=manifest.frames)
     assert report.events and report.riker and report.gaps == list(GAP)
     files = written(out)
     assert len(files) == 5
