@@ -14,7 +14,7 @@ from .boxes import (BoundingBox, Detection, FrameDetections, ObjectClass,
 from .detect import blob_detect, parse_detections_jsonl
 from .errors import FormatError, UnsupportedError, ValidationError, WardflowError
 from .evaluation import (average_precision, counting_accuracy, format_duration,
-                         mean_ap, parse_duration, time_error)
+                         mean_ap, time_error)
 from .flow import (FlowField, FlowParams, estimate_flow, expand_pyramid,
                    magnitude_stats, mask_worker_regions, poly_expand)
 from .frames import (SequenceManifest, ThermalFrame, auto_window,
@@ -35,6 +35,6 @@ __all__ = [
     "expand_pyramid", "format_duration", "interaction_time",
     "intersection_area", "iou", "magnitude_stats", "mask_worker_regions",
     "mean_ap", "motion_step", "normalize_to_gray", "parse_detections_jsonl",
-    "parse_duration", "physical_interaction", "poly_expand", "read_npy_frame",
-    "render", "tally", "time_error", "write_npy_frame",
+    "physical_interaction", "poly_expand", "read_npy_frame", "render",
+    "tally", "time_error", "write_npy_frame",
 ]

@@ -25,7 +25,7 @@ class InteractionEvent:
     overlap_ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionSample:
     timestamp: float
     raw: float

@@ -21,7 +21,6 @@ from .detect import blob_detect, parse_detections_jsonl
 from .errors import FormatError, UnsupportedError, ValidationError
 from .evaluation import (DEFAULT_IOU_THRESHOLDS, APTable, counting_accuracy,
                          format_duration, mean_ap, time_error)
-from .flow import FlowParams
 from .frames import ThermalFrame, load_manifest, load_sequence
 from .pipeline import SessionConfig, analyze_session, tally
 from .svgplot import Panel, Series, render_chart
@@ -202,8 +201,7 @@ def _cmd_analyze(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
     config = SessionConfig(tau=args.tau, alpha=args.alpha, dt=manifest.dt,
-                           conf_min=args.conf_min, flow=FlowParams(),
-                           riker_window=args.riker_window,
+                           conf_min=args.conf_min, riker_window=args.riker_window,
                            contrast_window=contrast)
     bed = _parse_box(args.bed) if args.bed else None
 

@@ -5,7 +5,6 @@ with the h/m/s formatting used in the result tables.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 
@@ -129,11 +128,6 @@ def time_error(predicted: float, labeled: float) -> float:
     return abs(predicted - labeled)
 
 
-_DURATION_RE = re.compile(
-    r"^(?:(?P<h>\d+)h)?(?:(?P<m>\d+)m)?(?:(?P<s>\d+)s)?$"
-)
-
-
 def format_duration(seconds: float) -> str:
     """Render seconds as e.g. "1h00m21s", "57m25s", or "32s"."""
     total = round(seconds)
@@ -147,13 +141,3 @@ def format_duration(seconds: float) -> str:
         return f"{m}m{s:02d}s"
     return f"{s}s"
 
-
-def parse_duration(text: str) -> int:
-    """Inverse of format_duration; returns whole seconds."""
-    match = _DURATION_RE.match(text.strip())
-    if not match or not any(match.group(g) for g in ("h", "m", "s")):
-        raise ValueError(f"bad duration {text!r}")
-    h = int(match.group("h") or 0)
-    m = int(match.group("m") or 0)
-    s = int(match.group("s") or 0)
-    return h * 3600 + m * 60 + s

@@ -64,14 +64,14 @@ class FlowField:
 
 @dataclass
 class PolyExpansion:
-    """Quadratic-fit coefficients per pixel (A symmetric 2x2, b, c)."""
+    """The quadratic-fit coefficients the flow reads, per pixel; each is a
+    plane of one rows x cols x 5 buffer.  The constant term is not kept."""
 
     a11: np.ndarray  # x^2 coefficient
     a22: np.ndarray  # y^2 coefficient
-    a12: np.ndarray  # half the xy coefficient
+    axy: np.ndarray  # xy coefficient, twice A's off-diagonal
     bx: np.ndarray
     by: np.ndarray
-    c: np.ndarray
 
 
 def _as_image(frame) -> np.ndarray:
@@ -81,8 +81,9 @@ def _as_image(frame) -> np.ndarray:
     return arr
 
 
-def poly_expand(frame, poly_n: int = 5, poly_sigma: float = 1.1) -> PolyExpansion:
-    """Fit every pixel neighborhood to a quadratic in {1,x,y,x2,y2,xy}.
+def poly_expand(frame, poly_n: int, poly_sigma: float) -> PolyExpansion:
+    """Fit every pixel neighborhood to a quadratic in {1,x,y,x2,y2,xy},
+    keeping the five non-constant coefficients.
 
     Borders use edge replication.  The fit is exact for polynomial
     images up to degree two away from the borders.
@@ -109,11 +110,8 @@ def poly_expand(frame, poly_n: int = 5, poly_sigma: float = 1.1) -> PolyExpansio
     terms = [(y0, k0), (y0, k1), (y1, k0), (y0, k2), (y2, k0), (y1, k1)]
     v = np.stack([ndimage.correlate1d(rows, kx, axis=1, mode="nearest") for rows, kx in terms],
                  axis=-1)
-    r = v @ Ginv.T
-    return PolyExpansion(
-        a11=r[..., 3], a22=r[..., 4], a12=r[..., 5] * 0.5,
-        bx=r[..., 1], by=r[..., 2], c=r[..., 0],
-    )
+    r = v @ Ginv[1:].T  # every row but the constant term's
+    return PolyExpansion(a11=r[..., 2], a22=r[..., 3], axy=r[..., 4], bx=r[..., 0], by=r[..., 1])
 
 
 def _gaussian_kernel(length: int) -> np.ndarray:
@@ -170,7 +168,7 @@ def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy,
         return ndimage.map_coordinates(arr, coords, order=1, mode="nearest")
 
     a11 = 0.5 * (e1.a11 + warp(e2.a11))
-    a12 = 0.5 * (e1.a12 + warp(e2.a12))
+    a12 = 0.25 * (e1.axy + warp(e2.axy))  # half the mean xy term; exact, a power of two
     a22 = 0.5 * (e1.a22 + warp(e2.a22))
     db1 = -0.5 * (warp(e2.bx) - e1.bx) + a11 * dx + a12 * dy
     db2 = -0.5 * (warp(e2.by) - e1.by) + a12 * dx + a22 * dy
@@ -205,14 +203,13 @@ def _resize(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return ndimage.zoom(arr, factors, order=1, mode="nearest", grid_mode=True)
 
 
-def expand_pyramid(frame, params: FlowParams | None = None) -> list[PolyExpansion]:
+def expand_pyramid(frame, params: FlowParams) -> list[PolyExpansion]:
     """Polynomial expansion of every pyramid level of one frame, finest first.
 
     This is how an image enters the flow: `estimate_flow` takes two of
     these pyramids, so a frame is expanded once for both pairs it belongs
     to.  Levels too small to hold the expansion window are dropped.
     """
-    params = params or FlowParams()
     img = _as_image(frame)
     levels = [img]
     sigma = np.sqrt(1.0 / params.pyramid_scale**2 - 1.0)
@@ -241,7 +238,7 @@ def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
     have (zero unless a coarser level set it), so the field is always
     fully populated.
     """
-    shapes1, shapes2 = ([e.c.shape for e in pyr] for pyr in (prev_pyr, next_pyr))
+    shapes1, shapes2 = ([e.a11.shape for e in pyr] for pyr in (prev_pyr, next_pyr))
     if shapes1 != shapes2:
         raise ValueError(f"frame shapes differ: {shapes1[0]} vs {shapes2[0]}")
 
@@ -250,7 +247,7 @@ def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
     dx = dy = np.zeros(shapes1[-1])
     cones = _dependency_cones(shapes1, span, params)
     for e1, e2, cone in zip(reversed(prev_pyr), reversed(next_pyr), reversed(cones)):
-        shape = e1.c.shape
+        shape = e1.a11.shape
         scale_x, scale_y = shape[1] / dx.shape[1], shape[0] / dx.shape[0]
         dx, dy = _resize(dx, shape) * scale_x, _resize(dy, shape) * scale_y
         e1 = PolyExpansion(**{name: coef[cone] for name, coef in vars(e1).items()})

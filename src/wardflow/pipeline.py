@@ -7,7 +7,7 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .analytics import (MotionSample, RikerRecord, SessionReport, align_riker,
                         count_workers, interaction_time, motion_step, relax)
@@ -18,6 +18,9 @@ from .frames import ThermalFrame, auto_window, normalize_to_gray
 # A detector returns one frame's detections.
 Detector = Callable[[ThermalFrame], list[Detection]]
 
+# The paper's Farneback settings, the only ones the motion score uses.
+FLOW = FlowParams()
+
 
 @dataclass
 class SessionConfig:
@@ -25,7 +28,6 @@ class SessionConfig:
     alpha: float = 0.7          # motion relaxation factor
     dt: float = 1.0             # seconds between frames
     conf_min: float = 0.5       # detection confidence cutoff
-    flow: FlowParams = field(default_factory=FlowParams)
     riker_window: float = 300.0
     contrast_window: tuple[float, float] | None = None  # None -> auto
 
@@ -60,7 +62,7 @@ def pair_motion(prev_pyr: list[PolyExpansion], cur_pyr: list[PolyExpansion],
     """Unrelaxed motion of one frame pair: magnitude mean + std of the flow
     over the current patient's pixel `span`, worker pixels zeroed.  It
     reads no other pair, so pairs can run concurrently."""
-    flow = estimate_flow(prev_pyr, cur_pyr, config.flow, span)
+    flow = estimate_flow(prev_pyr, cur_pyr, FLOW, span)
     return motion_step(flow, span, [d.box for d in fd.workers(config.conf_min)])
 
 
@@ -70,8 +72,9 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
 
     This thread decides each frame's patient span and builds each
     pyramid a pair needs once; a frame whose span is a gap builds none.
-    The pairs run on a pool of `os.cpu_count()` threads with at most
-    that many in flight, and their scalars are relaxed in frame order.
+    The pairs run on a pool of `os.cpu_count()` threads, and their
+    scalars are relaxed in frame order with at most that many samples,
+    pairs or gaps, waiting.
     """
     size = os.cpu_count() or 1
     pending: deque[tuple[float, Future | None]] = deque()  # in frame order; None is a gap
@@ -84,21 +87,21 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
                                 None if future is None else future.result(), config.alpha))
 
     def pyramid(frame):
-        return expand_pyramid(normalize_to_gray(frame, *window), config.flow)
+        return expand_pyramid(normalize_to_gray(frame, *window), FLOW)
 
     with ThreadPoolExecutor(size) as pool:
         prev_frame = prev_pyr = window = None
         for k, (frame, fd) in enumerate(session):
             if k == 1:
-                if min(prev_frame.temps.shape) < config.flow.poly_n:
+                if min(prev_frame.temps.shape) < FLOW.poly_n:
                     raise ValueError(f"frames of shape {prev_frame.temps.shape} are smaller "
-                                     f"than the expansion window {config.flow.poly_n}")
+                                     f"than the expansion window {FLOW.poly_n}")
                 window = config.contrast_window or auto_window(prev_frame)
             if k > 0:
+                settle(size - 1)  # bounds the wait; a pyramid built next uses the core this frees
                 span = _patient_span(fd, frame.temps.shape, config.conf_min)
                 cur_pyr = future = None
                 if span is not None:
-                    settle(size - 1)  # the pyramids built next use the core this frees
                     prev_pyr = prev_pyr or pyramid(prev_frame)
                     cur_pyr = pyramid(frame)
                     future = pool.submit(pair_motion, prev_pyr, cur_pyr, fd, span, config)

@@ -5,10 +5,12 @@ sets for box geometry, flood fill for components, dense least squares
 for the polynomial fit, naive PR enumeration for AP, the per-pair flow
 arithmetic with no shared passes, and the motion statistics taken over
 the whole frame through a boolean region.  The output files of
-`analyze` and `eval` are formatted here line by line, field by field.
+`analyze` and `eval` are formatted here line by line, field by field,
+and the durations of the paper's tables are parsed here.
 """
 
 import json
+import re
 
 import numpy as np
 from scipy import ndimage
@@ -19,6 +21,20 @@ from wardflow.boxes import (BoundingBox, ObjectClass, intersection_area, iou,
 from wardflow.evaluation import counting_accuracy, format_duration, mean_ap, time_error
 from wardflow.svgplot import Panel, Series, render_chart
 from wardflow.flow import _COND_LIMIT, _MIN_EIG, _gaussian_kernel, _resize
+
+_DURATION_RE = re.compile(r"^(?:(?P<h>\d+)h)?(?:(?P<m>\d+)m)?(?:(?P<s>\d+)s)?$")
+
+
+def parse_duration(text: str) -> int:
+    """Whole seconds of a table duration such as "1h00m21s", "57m25s" or
+    "32s", the inverse of `format_duration`."""
+    match = _DURATION_RE.match(text.strip())
+    if not match or not any(match.group(g) for g in ("h", "m", "s")):
+        raise ValueError(f"bad duration {text!r}")
+    h = int(match.group("h") or 0)
+    m = int(match.group("m") or 0)
+    s = int(match.group("s") or 0)
+    return h * 3600 + m * 60 + s
 
 
 def raster_mask(box, width, height):

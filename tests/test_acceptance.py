@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from oracles import ap_bruteforce, raster_mask
+from oracles import ap_bruteforce, parse_duration, raster_mask
 from wardflow.boxes import (BoundingBox, Detection, FrameDetections,
                             ObjectClass, area, intersection_area, iou, pixel_span)
 from wardflow.cli import main
-from wardflow.evaluation import (average_precision, format_duration, mean_ap,
-                                 parse_duration, time_error)
+from wardflow.evaluation import average_precision, format_duration, mean_ap, time_error
 from wardflow.analytics import motion_step, physical_interaction, relax
 from wardflow.flow import FlowField, FlowParams, estimate_flow, expand_pyramid, poly_expand
 from wardflow.pipeline import SessionConfig, tally
@@ -138,14 +137,15 @@ def _shifted_pair(seed, shift, size=64, margin=8):
 
 
 def test_criterion_6_polynomial_expansion():
-    e = poly_expand(np.full((16, 16), 7.0))
-    assert all(np.abs(coef).max() < 1e-9 for coef in (e.a11, e.a12, e.a22, e.bx, e.by))
+    params = FlowParams()
+    e = poly_expand(np.full((16, 16), 7.0), params.poly_n, params.poly_sigma)
+    assert all(np.abs(coef).max() < 1e-9 for coef in (e.a11, e.axy, e.a22, e.bx, e.by))
     X = np.tile(np.arange(24, dtype=float), (24, 1))
     interior = (slice(5, -5), slice(5, -5))
-    e = poly_expand(3.0 * X)
+    e = poly_expand(3.0 * X, params.poly_n, params.poly_sigma)
     assert np.abs(e.bx[interior] - 3.0).max() < 1e-6
     assert np.abs(e.by[interior]).max() < 1e-6
-    e = poly_expand(X * X)
+    e = poly_expand(X * X, params.poly_n, params.poly_sigma)
     assert np.abs(e.a11[interior] - 1.0).max() < 1e-3
     print("PASS criterion 6: expansion exact on constant, ramp (b=(3,0)), "
           "and quadratic (A11=1) images")

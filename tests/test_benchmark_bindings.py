@@ -6,6 +6,7 @@ import importlib
 import json
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,17 +28,23 @@ def test_every_binding_names_a_module_global(monkeypatch):
 
 def test_every_binding_is_called_on_the_benchmark_path(monkeypatch, tmp_path):
     # synth -> analyze --dets --riker -> analyze --blob -> eval, as the
-    # benchmark runs it: a binding no command calls would leave its span empty
+    # benchmark runs it: a binding no command calls would leave its span
+    # empty.  Each counter hook reads the call it wraps as the traced run
+    # does, so a changed signature fails here too.
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    keys = [(module, name) for module, name, _span, _note
-            in importlib.import_module("layers").BINDINGS]
+    bindings = importlib.import_module("layers").BINDINGS
+    keys = [(module, name) for module, name, _span, _note in bindings]
     calls = Counter()
-    for key in keys:
-        def counted(*args, fn=getattr(importlib.import_module(key[0]), key[1]), key=key,
-                    **kwargs):
+    tracer = SimpleNamespace(counts=Counter())  # what a hook reads of the tracer
+    for module, name, _span, note in bindings:
+        def counted(*args, fn=getattr(importlib.import_module(module), name),
+                    key=(module, name), note=note, **kwargs):
             calls[key] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(importlib.import_module(key[0]), key[1], counted)
+            result = fn(*args, **kwargs)
+            if note is not None:
+                note(tracer, args, result)
+            return result
+        monkeypatch.setattr(importlib.import_module(module), name, counted)
     scenario = {"duration": 6, "resolution": [32, 24], "noise_sigma_c": 0.1,
                 "patient": {"keyframes": [{"t": 0, "box": [4, 6, 12, 10]},
                                           {"t": 6, "box": [6, 7, 12, 10]}]},
@@ -54,6 +61,7 @@ def test_every_binding_is_called_on_the_benchmark_path(monkeypatch, tmp_path):
     assert main(["analyze", "--manifest", manifest, "--blob", "--out", str(tmp_path / "b")]) == 0
     assert main(["eval", "--dets", dets, "--gt", dets, "--out", str(tmp_path / "e")]) == 0
     assert [key for key in keys if not calls[key]] == []
+    assert tracer.counts["flow.pixel_iters"] > 0
 
 
 def test_motion_step_calls_the_mask_and_stats_globals(monkeypatch):

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -368,6 +370,24 @@ def small_session(tmp_path, frames, absent=()):
     return session
 
 
+class LiveCount:
+    """How many tracked objects are alive, and the most at once."""
+
+    def __init__(self):
+        self.alive = self.peak = 0
+
+    def track(self, obj):
+        # a pyramid is a list, which takes no weak reference; its finest
+        # level lives exactly as long
+        self.alive += 1
+        self.peak = max(self.peak, self.alive)
+        weakref.finalize(obj[0] if isinstance(obj, list) else obj, self._drop)
+        return obj
+
+    def _drop(self):
+        self.alive -= 1
+
+
 class TestStreamingEngine:
     def test_pool_size_does_not_change_outputs(self, tmp_path, monkeypatch):
         session = small_session(tmp_path, 12, absent={0, 1, 5, 6, 11})
@@ -384,23 +404,82 @@ class TestStreamingEngine:
         assert sum(s["raw"] > 0 for s in report["motion"]) == 7
 
     def test_peak_memory_flat_in_session_length(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        peaks = []
+        # Working memory is bounded by the pool, not the session length.
         # The patient is away for most of the long session so the test stays
         # quick; its frames are still read, and would pile up if held.
+        sessions = {}
         for frames, absent in ((60, ()), (600, range(60, 540))):
             session = small_session(tmp_path, frames, absent=set(absent))
-            manifest = load_manifest(session / "manifest.json")
-            dets = parse_detections_jsonl((session / "dets.jsonl").read_text(), (64, 48))
+            sessions[frames] = (session, load_manifest(session / "manifest.json"),
+                                parse_detections_jsonl((session / "dets.jsonl").read_text(),
+                                                       (64, 48)))
+
+        def analyze(frames):
+            session, manifest, dets = sessions[frames]
+            report = analyze_session(load_sequence(manifest, session), dets, SessionConfig(),
+                                     timeline=manifest.frames)
+            assert len(report.motion) == frames - 1
+
+        # On one thread at most one pair is in flight, so the traced peak
+        # compares bytes: only the motion series may grow.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        peaks = []
+        for frames in sessions:
+            gc.collect()
             tracemalloc.start()
             try:
-                report = analyze_session(load_sequence(manifest, session), dets,
-                                         SessionConfig(), timeline=manifest.frames)
+                analyze(frames)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert len(report.motion) == frames - 1
         assert peaks[1] <= 1.1 * peaks[0]
+
+        # On more threads the pool's timing moves the bytes, so count the
+        # pyramids and frames alive at once: each waiting pair holds two
+        # pyramids, and this thread holds the frame pair being read.
+        expand, read = wardflow.pipeline.expand_pyramid, wardflow.frames.read_npy_frame
+        for size in (2, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: size)
+            alive = []
+            for frames in sessions:
+                pyramids, images = LiveCount(), LiveCount()
+                monkeypatch.setattr(wardflow.pipeline, "expand_pyramid",
+                                    lambda *args: pyramids.track(expand(*args)))
+                monkeypatch.setattr(wardflow.frames, "read_npy_frame",
+                                    lambda *args: images.track(read(*args)))
+                analyze(frames)
+                alive.append((pyramids.peak, images.peak))
+            assert alive[0] == alive[1], size
+            assert alive[0][0] <= 2 * size and alive[0][1] <= 3, (size, alive[0])
+
+    def test_gap_samples_settle_within_the_pool(self, tmp_path, monkeypatch):
+        # a run of gaps queues no sample per frame: each gap is relaxed
+        # within a pool's worth of frames of its frame being read
+        size = 2
+        monkeypatch.setattr(os, "cpu_count", lambda: size)
+        session = small_session(tmp_path, 40, absent=set(range(5, 35)))
+        manifest = load_manifest(session / "manifest.json")
+        dets = parse_detections_jsonl((session / "dets.jsonl").read_text(), (64, 48))
+        read = []
+
+        def frames():
+            for frame in load_sequence(manifest, session):
+                read.append(frame.timestamp)
+                yield frame
+
+        relaxed_after = {}  # timestamp -> frames read when its sample was relaxed
+        relax = wardflow.pipeline.relax
+
+        def recorded(prev, timestamp, raw, alpha):
+            relaxed_after[timestamp] = len(read)
+            return relax(prev, timestamp, raw, alpha)
+
+        monkeypatch.setattr(wardflow.pipeline, "relax", recorded)
+        report = analyze_session(frames(), dets, SessionConfig(), timeline=manifest.frames)
+        gaps = [s.timestamp for s in report.motion if s.gap]
+        assert gaps == [float(t) for t in range(5, 35)]
+        for t in gaps:
+            assert relaxed_after[t] <= read.index(t) + 1 + size, t
 
     def test_truncated_frame_exits_3_and_stops_the_pool(self, tmp_path):
         session = small_session(tmp_path, 40)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import ap_bruteforce
+from oracles import ap_bruteforce, parse_duration
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass
 from wardflow.evaluation import (average_precision, counting_accuracy,
-                                 format_duration, mean_ap, parse_duration,
-                                 time_error)
+                                 format_duration, mean_ap, time_error)
 
 
 def det_frame(t, entries):

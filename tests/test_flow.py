@@ -32,7 +32,15 @@ def whole(shape):
     return slice(0, shape[0]), slice(0, shape[1])
 
 
-def flow_between(img, moved, params=FlowParams()):
+DEFAULT = FlowParams()
+
+
+def expand(img):
+    """`poly_expand` with the default flow settings."""
+    return poly_expand(img, DEFAULT.poly_n, DEFAULT.poly_sigma)
+
+
+def flow_between(img, moved, params=DEFAULT):
     """The whole-frame flow between two images, each expanded once as a pyramid."""
     return estimate_flow(expand_pyramid(img, params), expand_pyramid(moved, params), params,
                          whole(np.shape(img)))
@@ -40,14 +48,13 @@ def flow_between(img, moved, params=FlowParams()):
 
 class TestPolyExpand:
     def test_constant_image(self):
-        e = poly_expand(np.full((16, 16), 42.0))
-        for coef in (e.a11, e.a12, e.a22, e.bx, e.by):
+        e = expand(np.full((16, 16), 42.0))
+        for coef in (e.a11, e.axy, e.a22, e.bx, e.by):
             assert np.abs(coef).max() < 1e-9
-        assert np.abs(e.c - 42.0).max() < 1e-9
 
     def test_linear_ramp(self):
         X = np.tile(np.arange(20, dtype=float), (20, 1))
-        e = poly_expand(3.0 * X)
+        e = expand(3.0 * X)
         interior = (slice(4, -4), slice(4, -4))
         assert np.abs(e.bx[interior] - 3.0).max() < 1e-6
         assert np.abs(e.by[interior]).max() < 1e-6
@@ -55,7 +62,7 @@ class TestPolyExpand:
 
     def test_quadratic(self):
         X = np.tile(np.arange(20, dtype=float), (20, 1))
-        e = poly_expand(X * X)
+        e = expand(X * X)
         interior = (slice(4, -4), slice(4, -4))
         assert np.abs(e.a11[interior] - 1.0).max() < 1e-3
 
@@ -63,17 +70,25 @@ class TestPolyExpand:
         img = smooth_texture(42, shape=(24, 24))
         e = poly_expand(img, poly_n=5, poly_sigma=1.1)
         for row, col in [(6, 6), (11, 15), (17, 8)]:
-            c, bx, by, a11, a22, a12 = polyfit_neighborhood(img, row, col, 5, 1.1)
-            assert e.c[row, col] == pytest.approx(c, abs=1e-8)
+            _c, bx, by, a11, a22, a12 = polyfit_neighborhood(img, row, col, 5, 1.1)
             assert e.bx[row, col] == pytest.approx(bx, abs=1e-8)
             assert e.by[row, col] == pytest.approx(by, abs=1e-8)
             assert e.a11[row, col] == pytest.approx(a11, abs=1e-8)
             assert e.a22[row, col] == pytest.approx(a22, abs=1e-8)
-            assert e.a12[row, col] == pytest.approx(a12, abs=1e-8)
+            assert e.axy[row, col] == pytest.approx(2.0 * a12, abs=1e-8)
 
     def test_too_small_image_rejected(self):
         with pytest.raises(ValueError):
-            poly_expand(np.zeros((3, 10)), poly_n=5)
+            expand(np.zeros((3, 10)))
+
+    def test_levels_are_five_planes_of_one_buffer(self):
+        # a level holds exactly the planes the flow reads, with no copy
+        for level in expand_pyramid(smooth_texture(3, shape=(40, 52)), DEFAULT):
+            planes = vars(level)
+            buffer = level.a11.base
+            assert list(planes) == ["a11", "a22", "axy", "bx", "by"]
+            assert buffer.dtype == np.float64 and buffer.shape == level.a11.shape + (5,)
+            assert all(plane.base is buffer for plane in planes.values())
 
 
 class TestEstimateFlow:
@@ -136,19 +151,18 @@ class TestPyramidReuse:
         assert np.array_equal(flow.dy, ref_dy)
 
     def test_level_dropping(self):
-        assert len(expand_pyramid(np.zeros((64, 64)))) == 3
-        assert len(expand_pyramid(np.zeros((18, 23)))) == 2
-        assert len(expand_pyramid(np.zeros((9, 40)))) == 1
+        assert len(expand_pyramid(np.zeros((64, 64)), DEFAULT)) == 3
+        assert len(expand_pyramid(np.zeros((18, 23)), DEFAULT)) == 2
+        assert len(expand_pyramid(np.zeros((9, 40)), DEFAULT)) == 1
 
     def test_pyramid_shape_mismatch_rejected(self):
-        params = FlowParams()
         with pytest.raises(ValueError):
-            estimate_flow(expand_pyramid(np.zeros((32, 32))),
-                          expand_pyramid(np.zeros((32, 33))), params, whole((32, 32)))
+            estimate_flow(expand_pyramid(np.zeros((32, 32)), DEFAULT),
+                          expand_pyramid(np.zeros((32, 33)), DEFAULT), DEFAULT, whole((32, 32)))
         with pytest.raises(ValueError):  # pyramids built with different level counts
-            estimate_flow(expand_pyramid(np.zeros((32, 32))),
+            estimate_flow(expand_pyramid(np.zeros((32, 32)), DEFAULT),
                           expand_pyramid(np.zeros((32, 32)), FlowParams(pyramid_levels=2)),
-                          params, whole((32, 32)))
+                          DEFAULT, whole((32, 32)))
 
 
 class TestDependencyCone:
@@ -191,7 +205,7 @@ class TestDependencyCone:
             b = np.roll(a, tuple(rng.integers(-3, 4, size=2)), axis=(0, 1)) + rng.normal(size=shape)
             prev_pyr, next_pyr = expand_pyramid(a, params), expand_pyramid(b, params)
             full = estimate_flow(prev_pyr, next_pyr, params, whole(shape))
-            shapes = [e.c.shape for e in prev_pyr]
+            shapes = [e.a11.shape for e in prev_pyr]
             for span in self.spans(rng, shape, params):
                 flow = estimate_flow(prev_pyr, next_pyr, params, span)
                 assert flow.dx.shape == full.dx[span].shape

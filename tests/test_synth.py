@@ -11,7 +11,7 @@ from wardflow.detect import blob_detect
 from wardflow.evaluation import counting_accuracy
 from wardflow.flow import estimate_flow, expand_pyramid
 from wardflow.frames import auto_window, normalize_to_gray, write_npy_frame
-from wardflow.pipeline import SessionConfig, analyze_session
+from wardflow.pipeline import FLOW, SessionConfig, analyze_session
 from wardflow.synth import (ActorScript, Keyframe, Scenario, export_session,
                             render, scenario_from_dict)
 
@@ -167,13 +167,13 @@ class TestMotionEngine:
         frames, dets = self.make_session()
         config = SessionConfig()
         window = auto_window(frames[0])
-        pyramids = [expand_pyramid(normalize_to_gray(f, *window), config.flow) for f in frames]
+        pyramids = [expand_pyramid(normalize_to_gray(f, *window), FLOW) for f in frames]
         whole = (slice(0, frames[0].height), slice(0, frames[0].width))
         expected = {}
         for k in range(1, len(frames)):
             if k not in self.GAPS:
                 # the whole-frame field and the full-frame motion reference
-                flow = estimate_flow(pyramids[k - 1], pyramids[k], config.flow, whole)
+                flow = estimate_flow(pyramids[k - 1], pyramids[k], FLOW, whole)
                 workers = [d.box for d in dets[k].workers(config.conf_min)]
                 patient = dets[k].best_patient(config.conf_min).box
                 expected[k] = motion_raw_full_frame(flow, patient, workers)
@@ -199,7 +199,7 @@ class TestMotionEngine:
         assert calls["flow"] == len(expected)
         frames_used = {j for k in expected for j in (k - 1, k)}
         assert len(frames_used) == 9  # frame 3 sits between two gap pairs
-        assert calls["expand"] == config.flow.pyramid_levels * len(frames_used)
+        assert calls["expand"] == FLOW.pyramid_levels * len(frames_used)
 
 
     def test_patient_outside_the_frame_runs_no_flow(self, monkeypatch):
