@@ -105,11 +105,16 @@ def poly_expand(frame, poly_n: int, poly_sigma: float) -> PolyExpansion:
     Ginv = np.linalg.inv(G)
 
     # The six separable correlations need only three distinct y (axis-0)
-    # passes; each is shared by the x (axis-1) passes that follow it.
-    y0, y1, y2 = (ndimage.correlate1d(img, k, axis=0, mode="nearest") for k in (k0, k1, k2))
+    # passes; each is shared by the x (axis-1) passes that follow it.  Both
+    # sets of passes write into one buffer each.
+    ys = np.empty((3, *img.shape))
+    for out, k in zip(ys, (k0, k1, k2)):
+        ndimage.correlate1d(img, k, axis=0, output=out, mode="nearest")
+    y0, y1, y2 = ys
+    v = np.empty((*img.shape, 6))
     terms = [(y0, k0), (y0, k1), (y1, k0), (y0, k2), (y2, k0), (y1, k1)]
-    v = np.stack([ndimage.correlate1d(rows, kx, axis=1, mode="nearest") for rows, kx in terms],
-                 axis=-1)
+    for i, (rows, kx) in enumerate(terms):
+        ndimage.correlate1d(rows, kx, axis=1, output=v[..., i], mode="nearest")
     r = v @ Ginv[1:].T  # every row but the constant term's
     return PolyExpansion(a11=r[..., 2], a22=r[..., 3], axy=r[..., 4], bx=r[..., 0], by=r[..., 1])
 
@@ -122,56 +127,63 @@ def _gaussian_kernel(length: int) -> np.ndarray:
 
 
 def _dependency_cones(shapes: list[tuple[int, int]], span: tuple[slice, slice],
-                      params: FlowParams) -> list[tuple[slice, slice]]:
-    """Per pyramid level, finest first, the pixels whose updates reach `span`.
+                      params: FlowParams) -> list[list[tuple[slice, slice]]]:
+    """Per pyramid level, finest first, the domain of each of its updates.
 
-    One update reads the window blur, which reaches `window // 2` px, so
-    a level's `iterations` updates reach a halo of `iterations * (window
-    // 2)` px.  The finest cone is `span` plus the halo.  Each coarser
-    cone is the finer cone mapped down by the shape ratio, plus 1 px for
-    the order-1 `_resize` that carries it up, plus the halo.  Every cone
-    is clipped to its level.
+    A level's list holds `iterations + 1` regions.  The last is where the
+    level's flow must be final: `span` on the finest level, and on each
+    coarser one the pixels that carrying the finer level's first domain
+    up reads, which is that domain mapped down by the shape ratio plus
+    1 px for the order-1 interpolation.  One update reads the window blur,
+    which reaches `window // 2` px, and is otherwise pointwise, so update
+    j runs on the last region grown by `(iterations - j) * (window // 2)`
+    px and is final on the region after it.  The first region is the
+    level's dependency cone, where its flow starts.  Every region is
+    clipped to its level.
     """
-    halo = params.iterations * (params.window // 2)
-    cones = []
+    reach = params.window // 2
+    levels = []
     for k, shape in enumerate(shapes):
         if k == 0:
-            reach = [(s.start - halo, s.stop + halo) for s in span]
+            final = [(s.start, s.stop) for s in span]
         else:
-            reach = [(c.start * n // m - 1 - halo, -(-c.stop * n // m) + 1 + halo)
-                     for c, n, m in zip(cones[-1], shape, shapes[k - 1])]
-        cones.append(tuple(slice(max(0, lo), min(n, hi)) for (lo, hi), n in zip(reach, shape)))
-    return cones
+            final = [(c.start * n // m - 1, -(-c.stop * n // m) + 1)
+                     for c, n, m in zip(levels[-1][0], shape, shapes[k - 1])]
+        levels.append([tuple(slice(max(0, lo - j * reach), min(n, hi + j * reach))
+                             for (lo, hi), n in zip(final, shape))
+                       for j in range(params.iterations, -1, -1)])
+    return levels
 
 
-def _blur(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable blur over the last two axes, so a stack blurs per plane."""
-    tmp = ndimage.correlate1d(arr, kernel, axis=-2, mode="nearest")
-    return ndimage.correlate1d(tmp, kernel, axis=-1, mode="nearest")
+def _blur(arr: np.ndarray, kernel: np.ndarray, region: tuple[slice, slice]) -> np.ndarray:
+    """Separable blur over the last two axes, so a stack blurs per plane,
+    kept on `region` of them; rows are cropped between the passes."""
+    tmp = ndimage.correlate1d(arr, kernel, axis=-2, mode="nearest")[..., region[0], :]
+    return ndimage.correlate1d(tmp, kernel, axis=-1, mode="nearest")[..., region[1]]
 
 
 def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy,
-                  origin: tuple[int, int]) -> np.ndarray:
+                  domain: tuple[slice, slice]) -> np.ndarray:
     """Stacked terms of the normal equations of min ||A d - db||^2.
 
-    `e1`, `dx` and `dy` cover a region whose first pixel is `origin` of
-    the level; `e2` is the whole level, where the warp lands.  Kept apart
-    from the blur so the warped coefficients are freed first.
+    `dx` and `dy` cover `domain` of the level; `e1` and `e2` are the whole
+    level, `e1` read on the domain and `e2` where the warp lands.  Kept
+    apart from the blur so the warped coefficients are freed first.
     """
     coords = np.indices(dx.shape, dtype=np.float64)
-    coords[0] += origin[0]
-    coords[1] += origin[1]
+    coords[0] += domain[0].start
+    coords[1] += domain[1].start
     coords[0] += dy
     coords[1] += dx
 
     def warp(arr):
         return ndimage.map_coordinates(arr, coords, order=1, mode="nearest")
 
-    a11 = 0.5 * (e1.a11 + warp(e2.a11))
-    a12 = 0.25 * (e1.axy + warp(e2.axy))  # half the mean xy term; exact, a power of two
-    a22 = 0.5 * (e1.a22 + warp(e2.a22))
-    db1 = -0.5 * (warp(e2.bx) - e1.bx) + a11 * dx + a12 * dy
-    db2 = -0.5 * (warp(e2.by) - e1.by) + a12 * dx + a22 * dy
+    a11 = 0.5 * (e1.a11[domain] + warp(e2.a11))
+    a12 = 0.25 * (e1.axy[domain] + warp(e2.axy))  # half the mean xy term; exact, a power of two
+    a22 = 0.5 * (e1.a22[domain] + warp(e2.a22))
+    db1 = -0.5 * (warp(e2.bx) - e1.bx[domain]) + a11 * dx + a12 * dy
+    db2 = -0.5 * (warp(e2.by) - e1.by[domain]) + a12 * dx + a22 * dy
     return np.stack([
         a11 * a11 + a12 * a12,
         a12 * (a11 + a22),
@@ -181,10 +193,17 @@ def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy,
     ])
 
 
-def _update_flow(e1: PolyExpansion, e2: PolyExpansion, dx, dy, window: int,
-                 origin: tuple[int, int]):
-    m11, m12, m22, h1, h2 = _blur(_normal_terms(e1, e2, dx, dy, origin),
-                                  _gaussian_kernel(window))
+def _update_flow(e1: PolyExpansion, e2: PolyExpansion, dx, dy, kernel: np.ndarray,
+                 domain: tuple[slice, slice], final: tuple[slice, slice]):
+    """One update of the flow `dx`, `dy` over `domain`, returned on `final`.
+
+    `final` lies inside `domain`, at least the blur's reach inside each of
+    its edges that is not the level's, so the blurred terms there are those
+    of the whole level.
+    """
+    inner = tuple(slice(f.start - d.start, f.stop - d.start) for f, d in zip(final, domain))
+    m11, m12, m22, h1, h2 = _blur(_normal_terms(e1, e2, dx, dy, domain), kernel, inner)
+    dx, dy = dx[inner], dy[inner]
 
     half_gap = np.sqrt((m11 - m22) ** 2 + 4.0 * m12 * m12)
     lam_min = 0.5 * ((m11 + m22) - half_gap)
@@ -201,6 +220,21 @@ def _update_flow(e1: PolyExpansion, e2: PolyExpansion, dx, dy, window: int,
 def _resize(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     factors = (shape[0] / arr.shape[0], shape[1] / arr.shape[1])
     return ndimage.zoom(arr, factors, order=1, mode="nearest", grid_mode=True)
+
+
+def _upsample(arr: np.ndarray, origin: tuple[int, int], level: tuple[int, int],
+              shape: tuple[int, int], region: tuple[slice, slice]) -> np.ndarray:
+    """`_resize(whole, shape)[region]`, where `whole` is a field of shape
+    `level` and `arr` is its part from pixel `origin` on.
+
+    The samples sit where `_resize` puts them, `(k + 0.5) * level / shape
+    - 0.5` on each axis, so they have its bits; `arr` must hold every
+    pixel they read.
+    """
+    axes = [(np.arange(r.start, r.stop) + 0.5) * (n / m) - 0.5 - o
+            for r, n, m, o in zip(region, level, shape, origin)]
+    return ndimage.map_coordinates(arr, np.meshgrid(*axes, indexing="ij"),
+                                   order=1, mode="nearest")
 
 
 def expand_pyramid(frame, params: FlowParams) -> list[PolyExpansion]:
@@ -230,33 +264,34 @@ def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
     Each frame is its `expand_pyramid` result, built with `params`.
     `span` is a (rows, cols) pair of slices with integer bounds inside the
     frame, as `boxes.pixel_span` returns; the field covers exactly those
-    pixels.  Each level iterates only on the span's dependency cone
-    (`_dependency_cones`): an update at a pixel reads `e1` there, `e2`
-    where the warp lands (kept whole) and the window blur, which reaches
-    `window // 2` px, so the field over `span` has the bits of the
-    whole-frame field.  Ill-conditioned pixels keep the displacement they
-    have (zero unless a coarser level set it), so the field is always
-    fully populated.
+    pixels.  Each update runs only on its domain (`_dependency_cones`),
+    which shrinks by the blur's reach, `window // 2` px, per update: an
+    update at a pixel reads `e1` there, `e2` where the warp lands (kept
+    whole) and the window blur.  A level's flow starts as the coarser
+    field carried up on its first domain alone (`_upsample`).  So the
+    field over `span` has the bits of the whole-frame field.
+    Ill-conditioned pixels keep the displacement they have (zero unless a
+    coarser level set it), so the field is always fully populated.
     """
     shapes1, shapes2 = ([e.a11.shape for e in pyr] for pyr in (prev_pyr, next_pyr))
     if shapes1 != shapes2:
         raise ValueError(f"frame shapes differ: {shapes1[0]} vs {shapes2[0]}")
 
-    # dx/dy stay level-sized so `_resize` reads the whole coarser field;
-    # only the cone is updated
-    dx = dy = np.zeros(shapes1[-1])
-    cones = _dependency_cones(shapes1, span, params)
-    for e1, e2, cone in zip(reversed(prev_pyr), reversed(next_pyr), reversed(cones)):
-        shape = e1.a11.shape
-        scale_x, scale_y = shape[1] / dx.shape[1], shape[0] / dx.shape[0]
-        dx, dy = _resize(dx, shape) * scale_x, _resize(dy, shape) * scale_y
-        e1 = PolyExpansion(**{name: coef[cone] for name, coef in vars(e1).items()})
-        origin = (cone[0].start, cone[1].start)
-        cone_dx, cone_dy = dx[cone], dy[cone]
-        for _ in range(params.iterations):
-            cone_dx, cone_dy = _update_flow(e1, e2, cone_dx, cone_dy, params.window, origin)
-        dx[cone], dy[cone] = cone_dx, cone_dy
-    return FlowField(dx[span], dy[span])
+    kernel = _gaussian_kernel(params.window)
+    domains = _dependency_cones(shapes1, span, params)
+    coarser = None  # the coarser level's shape and where its final flow starts
+    for e1, e2, steps in zip(reversed(prev_pyr), reversed(next_pyr), reversed(domains)):
+        shape, first = e1.a11.shape, steps[0]
+        if coarser is None:
+            dx = dy = np.zeros(tuple(s.stop - s.start for s in first))
+        else:
+            level, origin = coarser
+            dx = _upsample(dx, origin, level, shape, first) * (shape[1] / level[1])
+            dy = _upsample(dy, origin, level, shape, first) * (shape[0] / level[0])
+        for domain, final in zip(steps, steps[1:]):
+            dx, dy = _update_flow(e1, e2, dx, dy, kernel, domain, final)
+        coarser = shape, (steps[-1][0].start, steps[-1][1].start)
+    return FlowField(dx, dy)
 
 
 def magnitude_stats(flow: FlowField) -> tuple[float, float]:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import wardflow.flow
 import wardflow.pipeline
 from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
-from wardflow.flow import (FlowField, FlowParams, _dependency_cones, estimate_flow,
-                           expand_pyramid, magnitude_stats, mask_worker_regions, poly_expand)
+from wardflow.flow import (FlowField, FlowParams, _dependency_cones, _resize, _upsample,
+                           estimate_flow, expand_pyramid, magnitude_stats, mask_worker_regions,
+                           poly_expand)
 from wardflow.frames import ThermalFrame
 from wardflow.pipeline import SessionConfig, analyze_session
 
@@ -214,10 +216,99 @@ class TestDependencyCone:
                 cones = _dependency_cones(shapes, span, params)
                 inner_coarse_cones += any(c.start > 0 or c.stop < n for cone, level in
                                           zip(cones[1:], shapes[1:])
-                                          for c, n in zip(cone, level))
+                                          for c, n in zip(cone[0], level))
         # the cones mapped down to coarser levels were exercised, not only
         # coarse levels iterated whole
         assert inner_coarse_cones >= 50
+
+
+class TestConeUpsample:
+    """Carrying a coarser field up on a region has the bits of `_resize`."""
+
+    @staticmethod
+    def footprint(region, level, shape):
+        # the coarser pixels a region's samples read, as `_dependency_cones` maps them
+        return tuple(slice(max(0, r.start * n // m - 1), min(n, -(-r.stop * n // m) + 1))
+                     for r, n, m in zip(region, level, shape))
+
+    def check(self, arr, shape, region):
+        expected = _resize(arr, shape)[region]
+        assert np.array_equal(_upsample(arr, (0, 0), arr.shape, shape, region), expected)
+        part = self.footprint(region, arr.shape, shape)
+        got = _upsample(arr[part], (part[0].start, part[1].start), arr.shape, shape, region)
+        assert np.array_equal(got, expected), (arr.shape, shape, region)
+
+    @pytest.mark.parametrize("level, shape", [((9, 12), (18, 24)), ((18, 23), (37, 41)),
+                                              ((7, 5), (13, 17)), ((4, 6), (11, 6)),
+                                              ((1, 3), (5, 7)), ((36, 48), (72, 96))])
+    def test_regions_touching_each_border_and_single_pixels(self, level, shape):
+        # odd and non-2x ratios; every region below touches a border or is 1 px
+        arr = np.random.default_rng(3).normal(size=level)
+        h, w = shape
+        for region in [(slice(0, h), slice(0, w)),
+                       (slice(0, 1), slice(0, 1)), (slice(h - 1, h), slice(w - 1, w)),
+                       (slice(0, 1), slice(w - 1, w)), (slice(h - 1, h), slice(0, 1)),
+                       (slice(h // 2, h // 2 + 1), slice(w // 2, w // 2 + 1)),
+                       (slice(0, max(1, h // 3)), slice(1, w)),
+                       (slice(1, h), slice(0, max(1, w // 3))),
+                       (slice(h // 3, h), slice(w - 2, w)),
+                       (slice(h - 2, h), slice(w // 3, w))]:
+            self.check(arr, shape, region)
+
+    def test_random_shapes_and_regions(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            level = tuple(int(n) for n in rng.integers(1, 50, size=2))
+            shape = tuple(max(1, int(n * rng.uniform(1.0, 3.0))) for n in level)
+            arr = rng.normal(size=level)
+            bounds = [np.sort(rng.choice(m + 1, size=2, replace=False)) for m in shape]
+            self.check(arr, shape, tuple(slice(int(lo), int(hi)) for lo, hi in bounds))
+
+
+class TestIterationDomains:
+    """Each update runs on a domain that shrinks by the blur's reach."""
+
+    SHAPE = (120, 160)  # levels 120x160, 60x80 and 30x40; the blur reaches 7 px
+
+    def domains(self, monkeypatch, span):
+        calls, kernels = [], []
+        update, kernel = wardflow.flow._update_flow, wardflow.flow._gaussian_kernel
+
+        def recording_update(e1, e2, dx, dy, *rest):
+            new_dx, new_dy = update(e1, e2, dx, dy, *rest)
+            calls.append((dx.shape, new_dx.shape))
+            return new_dx, new_dy
+
+        def no_resize(*args):
+            raise AssertionError("estimate_flow resized a whole level")
+
+        monkeypatch.setattr(wardflow.flow, "_update_flow", recording_update)
+        monkeypatch.setattr(wardflow.flow, "_gaussian_kernel",
+                            lambda length: kernels.append(length) or kernel(length))
+        a = smooth_texture(4, shape=self.SHAPE, sigma=2.0)
+        b = np.roll(a, (1, -2), axis=(0, 1))
+        prev_pyr, next_pyr = expand_pyramid(a, DEFAULT), expand_pyramid(b, DEFAULT)
+        monkeypatch.setattr(wardflow.flow, "_resize", no_resize)
+        flow = estimate_flow(prev_pyr, next_pyr, DEFAULT, span)
+        assert flow.dx.shape == flow.dy.shape == calls[-1][1]
+        assert kernels == [DEFAULT.window]
+        return calls
+
+    def test_mid_frame_span(self, monkeypatch):
+        # rows 50:60, cols 70:82 of the finest level; coarsest first
+        assert self.domains(monkeypatch, (slice(50, 60), slice(70, 82))) == [
+            ((30, 40), (30, 40)), ((30, 40), (30, 40)), ((30, 40), (30, 38)),
+            ((60, 72), (56, 58)), ((56, 58), (43, 44)), ((43, 44), (29, 30)),
+            ((52, 54), (38, 40)), ((38, 40), (24, 26)), ((24, 26), (10, 12)),
+        ]
+
+    def test_corner_span(self, monkeypatch):
+        # rows 0:8, cols 0:10: domains grow only away from the corner
+        assert self.domains(monkeypatch, (slice(0, 8), slice(0, 10))) == [
+            ((30, 40), (30, 34)), ((30, 34), (27, 27)), ((27, 27), (20, 20)),
+            ((37, 38), (30, 31)), ((30, 31), (23, 24)), ((23, 24), (16, 17)),
+            ((29, 31), (22, 24)), ((22, 24), (15, 17)), ((15, 17), (8, 10)),
+        ]
 
 
 class TestMagnitudeStats:
