@@ -9,6 +9,7 @@ averaging window and refined coarse-to-fine over an image pyramid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import ndimage
@@ -64,14 +65,16 @@ class FlowField:
 
 @dataclass
 class PolyExpansion:
-    """The quadratic-fit coefficients the flow reads, per pixel; each is a
-    plane of one rows x cols x 5 buffer.  The constant term is not kept."""
+    """The quadratic-fit coefficients the flow reads, per pixel, as the
+    planes of one rows x cols x 5 buffer.  The constant term is not kept."""
 
-    a11: np.ndarray  # x^2 coefficient
-    a22: np.ndarray  # y^2 coefficient
-    axy: np.ndarray  # xy coefficient, twice A's off-diagonal
-    bx: np.ndarray
-    by: np.ndarray
+    planes: np.ndarray  # bx, by, a11, a22, axy along the last axis
+
+    bx = property(lambda self: self.planes[..., 0])
+    by = property(lambda self: self.planes[..., 1])
+    a11 = property(lambda self: self.planes[..., 2])  # x^2 coefficient
+    a22 = property(lambda self: self.planes[..., 3])  # y^2 coefficient
+    axy = property(lambda self: self.planes[..., 4])  # xy coefficient, twice A's off-diagonal
 
 
 def _as_image(frame) -> np.ndarray:
@@ -79,6 +82,26 @@ def _as_image(frame) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("expected a 2-D image")
     return arr
+
+
+@cache
+def _expansion_kernels(poly_n: int, poly_sigma: float) -> tuple[np.ndarray, ...]:
+    """The three 1-D correlation kernels of `poly_expand` and the rows of the
+    inverse basis metric that give its five kept coefficients, read-only."""
+    n = poly_n // 2
+    x = np.arange(-n, n + 1, dtype=np.float64)
+    g = np.exp(-(x * x) / (2.0 * poly_sigma * poly_sigma))
+    g /= g.sum()
+
+    # Metric of the weighted basis; solved once, applied per pixel.
+    X, Y = np.meshgrid(x, x)
+    w2d = np.outer(g, g)
+    basis = np.stack([np.ones_like(X), X, Y, X * X, Y * Y, X * Y])
+    G = np.einsum("yx,iyx,jyx->ij", w2d, basis, basis)
+    arrays = (g, g * x, g * x * x, np.linalg.inv(G)[1:])  # every row but the constant term's
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def poly_expand(frame, poly_n: int, poly_sigma: float) -> PolyExpansion:
@@ -89,34 +112,22 @@ def poly_expand(frame, poly_n: int, poly_sigma: float) -> PolyExpansion:
     images up to degree two away from the borders.
     """
     img = _as_image(frame)
-    n = poly_n // 2
     if min(img.shape) < poly_n:
         raise ValueError(f"image {img.shape} smaller than expansion window {poly_n}")
-    x = np.arange(-n, n + 1, dtype=np.float64)
-    g = np.exp(-(x * x) / (2.0 * poly_sigma * poly_sigma))
-    g /= g.sum()
-    k0, k1, k2 = g, g * x, g * x * x
-
-    # Metric of the weighted basis; solved once, applied per pixel.
-    X, Y = np.meshgrid(x, x)
-    w2d = np.outer(g, g)
-    basis = np.stack([np.ones_like(X), X, Y, X * X, Y * Y, X * Y])
-    G = np.einsum("yx,iyx,jyx->ij", w2d, basis, basis)
-    Ginv = np.linalg.inv(G)
+    k0, k1, k2, ginv = _expansion_kernels(poly_n, poly_sigma)
 
     # The six separable correlations need only three distinct y (axis-0)
     # passes; each is shared by the x (axis-1) passes that follow it.  Both
-    # sets of passes write into one buffer each.
+    # sets of passes write into one buffer each, and the y-passes are freed
+    # before the solve.
     ys = np.empty((3, *img.shape))
-    for out, k in zip(ys, (k0, k1, k2)):
-        ndimage.correlate1d(img, k, axis=0, output=out, mode="nearest")
-    y0, y1, y2 = ys
+    for row, k in enumerate((k0, k1, k2)):
+        ndimage.correlate1d(img, k, axis=0, output=ys[row], mode="nearest")
     v = np.empty((*img.shape, 6))
-    terms = [(y0, k0), (y0, k1), (y1, k0), (y0, k2), (y2, k0), (y1, k1)]
-    for i, (rows, kx) in enumerate(terms):
-        ndimage.correlate1d(rows, kx, axis=1, output=v[..., i], mode="nearest")
-    r = v @ Ginv[1:].T  # every row but the constant term's
-    return PolyExpansion(a11=r[..., 2], a22=r[..., 3], axy=r[..., 4], bx=r[..., 0], by=r[..., 1])
+    for i, (row, kx) in enumerate(((0, k0), (0, k1), (1, k0), (0, k2), (2, k0), (1, k1))):
+        ndimage.correlate1d(ys[row], kx, axis=1, output=v[..., i], mode="nearest")
+    del ys
+    return PolyExpansion(v @ ginv.T)
 
 
 def _gaussian_kernel(length: int) -> np.ndarray:
@@ -162,6 +173,36 @@ def _blur(arr: np.ndarray, kernel: np.ndarray, region: tuple[slice, slice]) -> n
     return ndimage.correlate1d(tmp, kernel, axis=-1, mode="nearest")[..., region[1]]
 
 
+def _warp(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Every plane of the rows x cols x k `planes` sampled at (`rows`,
+    `cols`), two arrays of one shape, with one set of bilinear weights per
+    sample; the planes stay on the last axis.
+
+    Each plane has the bits `map_coordinates(plane, [rows, cols], order=1,
+    mode="nearest")` gives it.  So, as there, an axis weighs its samples
+    `floor(c)` and `floor(c) + 1`, each clamped to the axis while the
+    coordinate is not, by `w0 = 1 - (c - floor(c))` and `1 - w0`; a corner
+    is `(v * wy) * wx`, and the four are summed in row-major order from 0.0.
+    """
+    h, w, k = planes.shape
+    flat = planes.reshape(h * w, k)
+    axes = []
+    for c, n, stride in ((rows, h, w), (cols, w, 1)):
+        lo = np.floor(c)
+        w0 = 1.0 - (c - lo)
+        axes.append([(np.minimum(np.maximum(i, 0), n - 1).astype(np.intp) * stride, wt[..., None])
+                     for i, wt in ((lo, w0), (lo + 1.0, 1.0 - w0))])
+    out = np.zeros((*rows.shape, k))
+    corner = np.empty_like(out)
+    for iy, wy in axes[0]:
+        for ix, wx in axes[1]:
+            np.take(flat, iy + ix, axis=0, out=corner, mode="clip")
+            corner *= wy
+            corner *= wx
+            out += corner
+    return out
+
+
 def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy,
                   domain: tuple[slice, slice]) -> np.ndarray:
     """Stacked terms of the normal equations of min ||A d - db||^2.
@@ -170,20 +211,16 @@ def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy,
     level, `e1` read on the domain and `e2` where the warp lands.  Kept
     apart from the blur so the warped coefficients are freed first.
     """
-    coords = np.indices(dx.shape, dtype=np.float64)
-    coords[0] += domain[0].start
-    coords[1] += domain[1].start
-    coords[0] += dy
-    coords[1] += dx
-
-    def warp(arr):
-        return ndimage.map_coordinates(arr, coords, order=1, mode="nearest")
-
-    a11 = 0.5 * (e1.a11[domain] + warp(e2.a11))
-    a12 = 0.25 * (e1.axy[domain] + warp(e2.axy))  # half the mean xy term; exact, a power of two
-    a22 = 0.5 * (e1.a22[domain] + warp(e2.a22))
-    db1 = -0.5 * (warp(e2.bx) - e1.bx[domain]) + a11 * dx + a12 * dy
-    db2 = -0.5 * (warp(e2.by) - e1.by[domain]) + a12 * dx + a22 * dy
+    rows = np.arange(domain[0].start, domain[0].stop, dtype=np.float64)[:, None] + dy
+    cols = np.arange(domain[1].start, domain[1].stop, dtype=np.float64) + dx
+    warped = PolyExpansion(_warp(e2.planes, rows, cols))
+    del rows, cols
+    a11 = 0.5 * (e1.a11[domain] + warped.a11)
+    a12 = 0.25 * (e1.axy[domain] + warped.axy)  # half the mean xy term; exact, a power of two
+    a22 = 0.5 * (e1.a22[domain] + warped.a22)
+    db1 = -0.5 * (warped.bx - e1.bx[domain]) + a11 * dx + a12 * dy
+    db2 = -0.5 * (warped.by - e1.by[domain]) + a12 * dx + a22 * dy
+    del warped
     return np.stack([
         a11 * a11 + a12 * a12,
         a12 * (a11 + a22),

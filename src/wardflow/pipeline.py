@@ -21,6 +21,12 @@ Detector = Callable[[ThermalFrame], list[Detection]]
 # The paper's Farneback settings, the only ones the motion score uses.
 FLOW = FlowParams()
 
+# Frames with fewer pixels run their pairs on the calling thread: a small
+# pair spends most of its time in Python that holds the interpreter lock,
+# so a pool only adds hand-offs.  Set at the measured crossover, where a
+# pooled and an inline `analyze` took about the same time on two cores.
+_POOL_MIN_PIXELS = 160 * 120
+
 
 @dataclass
 class SessionConfig:
@@ -66,6 +72,16 @@ def pair_motion(prev_pyr: list[PolyExpansion], cur_pyr: list[PolyExpansion],
     return motion_step(flow, span, [d.box for d in fd.workers(config.conf_min)])
 
 
+def _settled(fn, *args) -> Future:
+    """A completed future holding `fn(*args)`'s result or exception."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
 def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
                    config: SessionConfig) -> list[MotionSample]:
     """The relaxed motion series over one pass of (frame, detections).
@@ -74,7 +90,9 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
     pyramid a pair needs once; a frame whose span is a gap builds none.
     The pairs run on a pool of `os.cpu_count()` threads, and their
     scalars are relaxed in frame order with at most that many samples,
-    pairs or gaps, waiting.
+    pairs or gaps, waiting.  On one core, or when the first frame has
+    fewer than `_POOL_MIN_PIXELS` pixels, each pair runs on this thread
+    before the next frame is read, and the pool starts no thread.
     """
     size = os.cpu_count() or 1
     pending: deque[tuple[float, Future | None]] = deque()  # in frame order; None is a gap
@@ -97,6 +115,9 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
                     raise ValueError(f"frames of shape {prev_frame.temps.shape} are smaller "
                                      f"than the expansion window {FLOW.poly_n}")
                 window = config.contrast_window or auto_window(prev_frame)
+                if prev_frame.temps.size < _POOL_MIN_PIXELS:
+                    size = 1
+                submit = pool.submit if size > 1 else _settled
             if k > 0:
                 settle(size - 1)  # bounds the wait; a pyramid built next uses the core this frees
                 span = _patient_span(fd, frame.temps.shape, config.conf_min)
@@ -104,7 +125,7 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
                 if span is not None:
                     prev_pyr = prev_pyr or pyramid(prev_frame)
                     cur_pyr = pyramid(frame)
-                    future = pool.submit(pair_motion, prev_pyr, cur_pyr, fd, span, config)
+                    future = submit(pair_motion, prev_pyr, cur_pyr, fd, span, config)
                 pending.append((fd.timestamp, future))
                 prev_pyr = cur_pyr
             prev_frame = frame
@@ -131,7 +152,8 @@ def analyze_session(frames: Iterable[ThermalFrame], dets: list[FrameDetections] 
     masked to the current patient box with worker overlaps zeroed, and
     relaxed with factor alpha.  Flow and pyramids run only for pairs
     whose current patient covers a pixel, since every other sample is
-    a gap; pairs run on a thread pool sized by `os.cpu_count()`, so
+    a gap; pairs run on a thread pool sized by `os.cpu_count()`, or on
+    this thread for small frames or one core (`_motion_series`), so
     memory is bounded by the pool size, not the session length, and the
     relaxation then runs over the pairs' scalars in frame order.  The
     per-second counts, flags and totals are `tally`'s.

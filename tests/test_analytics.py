@@ -198,7 +198,7 @@ def motion_of_known_flow(monkeypatch, flow, fd):
     span = _patient_span(fd, flow.dx.shape, config.conf_min)
     if span is None:
         return None, asked
-    pyr = [PolyExpansion(*[np.zeros(flow.dx.shape)] * 5)]  # never read: the flow is stubbed
+    pyr = [PolyExpansion(np.zeros((*flow.dx.shape, 5)))]  # never read: the flow is stubbed
     return pair_motion(pyr, pyr, fd, span, config), asked
 
 

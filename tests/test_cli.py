@@ -388,20 +388,61 @@ class LiveCount:
         self.alive -= 1
 
 
+# The frame-size rule on each side of small_session's 64x48 frames: with
+# more than one core, its pairs run on the calling thread under the first
+# value and on the pool under the second.
+PATHS = {"inline": 64 * 48 + 1, "pooled": 64 * 48}
+
+
 class TestStreamingEngine:
     def test_pool_size_does_not_change_outputs(self, tmp_path, monkeypatch):
         session = small_session(tmp_path, 12, absent={0, 1, 5, 6, 11})
         outputs = []
-        for size in (1, 4):
-            monkeypatch.setattr(os, "cpu_count", lambda: size)
-            out = tmp_path / f"pool{size}"
-            assert main(["analyze", "--manifest", str(session / "manifest.json"),
-                         "--dets", str(session / "dets.jsonl"), "--out", str(out)]) == 0
-            outputs.append([(out / name).read_bytes() for name in ("report.json", "motion.csv")])
-        assert outputs[0] == outputs[1]
+        for path, pool_min in PATHS.items():
+            monkeypatch.setattr(wardflow.pipeline, "_POOL_MIN_PIXELS", pool_min)
+            for size in (1, 4):
+                monkeypatch.setattr(os, "cpu_count", lambda: size)
+                out = tmp_path / f"{path}{size}"
+                assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                             "--dets", str(session / "dets.jsonl"), "--out", str(out)]) == 0
+                outputs.append([(out / name).read_bytes() for name in ("report.json", "motion.csv")])
+        assert all(output == outputs[0] for output in outputs)
         report = json.loads(outputs[0][0])
         assert report["gaps"] == [0.0, 1.0, 5.0, 6.0, 11.0]
         assert sum(s["raw"] > 0 for s in report["motion"]) == 7
+
+    def test_frame_size_and_cores_choose_inline_or_pool(self, tmp_path, monkeypatch):
+        # Below the size rule, or on one core, every pair runs on this thread
+        # and the pool starts no thread; otherwise the pool runs them.
+        assert 96 * 72 < wardflow.pipeline._POOL_MIN_PIXELS <= 384 * 288
+        session = small_session(tmp_path, 12, absent={5})
+        pair_motion = wardflow.pipeline.pair_motion
+        ran_on = []  # (on this thread, threads alive) per pair
+
+        def recorded(*args):
+            ran_on.append((threading.current_thread() is threading.main_thread(),
+                           threading.active_count()))
+            return pair_motion(*args)
+
+        monkeypatch.setattr(wardflow.pipeline, "pair_motion", recorded)
+        outputs = []
+        for path, pool_min, size in [("default", wardflow.pipeline._POOL_MIN_PIXELS, 2),
+                                     ("one core", PATHS["pooled"], 1),
+                                     ("pooled", PATHS["pooled"], 2)]:
+            monkeypatch.setattr(wardflow.pipeline, "_POOL_MIN_PIXELS", pool_min)
+            monkeypatch.setattr(os, "cpu_count", lambda: size)
+            ran_on.clear()
+            threads = threading.active_count()
+            out = tmp_path / path
+            assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                         "--dets", str(session / "dets.jsonl"), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("report.json", "motion.csv")])
+            assert len(ran_on) == 10, path
+            if path == "pooled":
+                assert not any(here for here, _ in ran_on)
+            else:
+                assert ran_on == [(True, threads)] * 10, path
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_peak_memory_flat_in_session_length(self, tmp_path, monkeypatch):
         # Working memory is bounded by the pool, not the session length.
@@ -420,8 +461,9 @@ class TestStreamingEngine:
                                      timeline=manifest.frames)
             assert len(report.motion) == frames - 1
 
-        # On one thread at most one pair is in flight, so the traced peak
-        # compares bytes: only the motion series may grow.
+        # On one core each pair runs on this thread before the next frame is
+        # read, so the traced peak compares bytes: only the motion series may
+        # grow.
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         peaks = []
         for frames in sessions:
@@ -438,19 +480,21 @@ class TestStreamingEngine:
         # pyramids and frames alive at once: each waiting pair holds two
         # pyramids, and this thread holds the frame pair being read.
         expand, read = wardflow.pipeline.expand_pyramid, wardflow.frames.read_npy_frame
-        for size in (2, 4):
-            monkeypatch.setattr(os, "cpu_count", lambda: size)
-            alive = []
-            for frames in sessions:
-                pyramids, images = LiveCount(), LiveCount()
-                monkeypatch.setattr(wardflow.pipeline, "expand_pyramid",
-                                    lambda *args: pyramids.track(expand(*args)))
-                monkeypatch.setattr(wardflow.frames, "read_npy_frame",
-                                    lambda *args: images.track(read(*args)))
-                analyze(frames)
-                alive.append((pyramids.peak, images.peak))
-            assert alive[0] == alive[1], size
-            assert alive[0][0] <= 2 * size and alive[0][1] <= 3, (size, alive[0])
+        for path, pool_min in PATHS.items():
+            monkeypatch.setattr(wardflow.pipeline, "_POOL_MIN_PIXELS", pool_min)
+            for size in (2, 4):
+                monkeypatch.setattr(os, "cpu_count", lambda: size)
+                alive = []
+                for frames in sessions:
+                    pyramids, images = LiveCount(), LiveCount()
+                    monkeypatch.setattr(wardflow.pipeline, "expand_pyramid",
+                                        lambda *args: pyramids.track(expand(*args)))
+                    monkeypatch.setattr(wardflow.frames, "read_npy_frame",
+                                        lambda *args: images.track(read(*args)))
+                    analyze(frames)
+                    alive.append((pyramids.peak, images.peak))
+                assert alive[0] == alive[1], (path, size)
+                assert alive[0][0] <= 2 * size and alive[0][1] <= 3, (path, size, alive[0])
 
     def test_gap_samples_settle_within_the_pool(self, tmp_path, monkeypatch):
         # a run of gaps queues no sample per frame: each gap is relaxed
@@ -460,37 +504,41 @@ class TestStreamingEngine:
         session = small_session(tmp_path, 40, absent=set(range(5, 35)))
         manifest = load_manifest(session / "manifest.json")
         dets = parse_detections_jsonl((session / "dets.jsonl").read_text(), (64, 48))
-        read = []
-
-        def frames():
-            for frame in load_sequence(manifest, session):
-                read.append(frame.timestamp)
-                yield frame
-
-        relaxed_after = {}  # timestamp -> frames read when its sample was relaxed
         relax = wardflow.pipeline.relax
+        for pool_min in PATHS.values():
+            monkeypatch.setattr(wardflow.pipeline, "_POOL_MIN_PIXELS", pool_min)
+            read = []
 
-        def recorded(prev, timestamp, raw, alpha):
-            relaxed_after[timestamp] = len(read)
-            return relax(prev, timestamp, raw, alpha)
+            def frames():
+                for frame in load_sequence(manifest, session):
+                    read.append(frame.timestamp)
+                    yield frame
 
-        monkeypatch.setattr(wardflow.pipeline, "relax", recorded)
-        report = analyze_session(frames(), dets, SessionConfig(), timeline=manifest.frames)
-        gaps = [s.timestamp for s in report.motion if s.gap]
-        assert gaps == [float(t) for t in range(5, 35)]
-        for t in gaps:
-            assert relaxed_after[t] <= read.index(t) + 1 + size, t
+            relaxed_after = {}  # timestamp -> frames read when its sample was relaxed
 
-    def test_truncated_frame_exits_3_and_stops_the_pool(self, tmp_path):
+            def recorded(prev, timestamp, raw, alpha):
+                relaxed_after[timestamp] = len(read)
+                return relax(prev, timestamp, raw, alpha)
+
+            monkeypatch.setattr(wardflow.pipeline, "relax", recorded)
+            report = analyze_session(frames(), dets, SessionConfig(), timeline=manifest.frames)
+            gaps = [s.timestamp for s in report.motion if s.gap]
+            assert gaps == [float(t) for t in range(5, 35)]
+            for t in gaps:
+                assert relaxed_after[t] <= read.index(t) + 1 + size, (pool_min, t)
+
+    def test_truncated_frame_exits_3_and_stops_the_pool(self, tmp_path, monkeypatch):
         session = small_session(tmp_path, 40)
         frame = session / "frame_00030.npy"
         frame.write_bytes(frame.read_bytes()[:-100])
-        threads = threading.active_count()
-        out = tmp_path / "o"
-        assert main(["analyze", "--manifest", str(session / "manifest.json"),
-                     "--dets", str(session / "dets.jsonl"), "--out", str(out)]) == 3
-        assert not (out / "report.json").exists()
-        assert threading.active_count() == threads
+        for path, pool_min in PATHS.items():
+            monkeypatch.setattr(wardflow.pipeline, "_POOL_MIN_PIXELS", pool_min)
+            threads = threading.active_count()
+            out = tmp_path / path
+            assert main(["analyze", "--manifest", str(session / "manifest.json"),
+                         "--dets", str(session / "dets.jsonl"), "--out", str(out)]) == 3
+            assert not (out / "report.json").exists()
+            assert threading.active_count() == threads
 
     @pytest.mark.parametrize("source", [["--dets", "dets.jsonl"], ["--blob", "--no-motion"]])
     def test_each_frame_read_once(self, tmp_path, monkeypatch, source):

@@ -6,7 +6,7 @@ import wardflow.flow
 import wardflow.pipeline
 from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
-from wardflow.flow import (FlowField, FlowParams, _dependency_cones, _resize, _upsample,
+from wardflow.flow import (FlowField, FlowParams, _dependency_cones, _resize, _upsample, _warp,
                            estimate_flow, expand_pyramid, magnitude_stats, mask_worker_regions,
                            poly_expand)
 from wardflow.frames import ThermalFrame
@@ -86,11 +86,11 @@ class TestPolyExpand:
     def test_levels_are_five_planes_of_one_buffer(self):
         # a level holds exactly the planes the flow reads, with no copy
         for level in expand_pyramid(smooth_texture(3, shape=(40, 52)), DEFAULT):
-            planes = vars(level)
-            buffer = level.a11.base
-            assert list(planes) == ["a11", "a22", "axy", "bx", "by"]
+            buffer = level.planes
+            assert list(vars(level)) == ["planes"]
             assert buffer.dtype == np.float64 and buffer.shape == level.a11.shape + (5,)
-            assert all(plane.base is buffer for plane in planes.values())
+            planes = [level.a11, level.a22, level.axy, level.bx, level.by]
+            assert all(plane.base is buffer for plane in planes)
 
 
 class TestEstimateFlow:
@@ -263,6 +263,61 @@ class TestConeUpsample:
             arr = rng.normal(size=level)
             bounds = [np.sort(rng.choice(m + 1, size=2, replace=False)) for m in shape]
             self.check(arr, shape, tuple(slice(int(lo), int(hi)) for lo, hi in bounds))
+
+
+class TestSharedWarp:
+    """One set of bilinear weights for every plane has the bits of
+    `map_coordinates` on each plane alone."""
+
+    @staticmethod
+    def check(planes, rows, cols):
+        expected = np.stack([ndimage.map_coordinates(planes[..., k], [rows, cols], order=1,
+                                                     mode="nearest")
+                             for k in range(planes.shape[-1])], axis=-1)
+        got = _warp(planes, rows, cols)
+        # compared as bits, so a -0.0 where map_coordinates gives 0.0 fails
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (rows, cols)
+
+    @staticmethod
+    def coordinates(rng, kind, n, shape):
+        if kind == "inside":
+            return rng.uniform(-3.0, n + 2.0, shape)
+        if kind == "integer":
+            return rng.integers(-2, n + 2, shape).astype(np.float64)
+        if kind == "edge":
+            return rng.choice([-1e6, 1e6, -1.0, -0.5, -1e-20, -0.0, 0.0, 1e-20, 0.5, n - 1.5,
+                               np.nextafter(n - 1.0, 0.0), n - 1.0, np.nextafter(n - 1.0, n),
+                               n - 0.5, float(n)], shape)
+        if kind == "huge":
+            return rng.uniform(-1e6, 1e6, shape)
+        # a hair off a pixel, where c - floor(c) rounds to 0 or 1
+        return rng.integers(0, n, shape) + rng.uniform(-1.0, 1.0, shape) * 1e-16
+
+    def test_adversarial_cases(self):
+        rng = np.random.default_rng(14)
+        kinds = ["inside", "integer", "edge", "huge", "near integer"]
+        for case in range(3000):
+            h, w = (int(n) for n in rng.integers(1, 12, size=2))
+            if case % 7 == 0:
+                h, w = [(1, 1), (1, w), (h, 1)][case % 3]
+            planes = rng.normal(size=(h, w, 5)) * 10.0 ** rng.uniform(-3, 3)
+            planes[rng.random(planes.shape) < 0.1] = 0.0
+            planes[rng.random(planes.shape) < 0.1] = -0.0
+            if case % 5 == 0:
+                planes[..., 0] = -0.0  # all four corners -0.0
+            shape = tuple(int(n) for n in rng.integers(1, 8, size=2))
+            rows = self.coordinates(rng, kinds[case % 5], h, shape)
+            cols = self.coordinates(rng, kinds[(case // 5) % 5], w, shape)
+            self.check(planes, rows, cols)
+
+    def test_flow_update_shapes(self):
+        # rows vary down a column and cols along a row, as `_normal_terms` builds them
+        rng = np.random.default_rng(15)
+        planes = rng.normal(size=(72, 96, 5))
+        rows = np.arange(3, 70, dtype=np.float64)[:, None] + rng.normal(0, 4, (67, 55))
+        cols = np.arange(20, 75, dtype=np.float64) + rng.normal(0, 4, (67, 55))
+        self.check(planes, rows, cols)
 
 
 class TestIterationDomains:
