@@ -186,11 +186,12 @@ def _cmd_synth(args) -> int:
 
 
 def _peek_resolution(frames: Iterator[ThermalFrame]):
-    """The first frame's (width, height), or None, and the unconsumed stream."""
+    """The first frame's (width, height), or None, and the unconsumed
+    stream, which holds the first frame only until it is read."""
     first = next(frames, None)
     if first is None:
         return None, frames
-    return (first.width, first.height), itertools.chain([first], frames)
+    return (first.width, first.height), itertools.chain(iter([first]), frames)
 
 
 def _cmd_analyze(args) -> int:

@@ -21,6 +21,10 @@ from .boxes import BoundingBox, pixel_span
 _COND_LIMIT = 1e6
 _MIN_EIG = 1e-9
 
+# `poly_expand` works on strips of this many pixels, rounded down to whole
+# rows: 32 rows of a 384-wide frame, the fastest of a sweep at 288x384.
+_STRIP_PIXELS = 32 * 384
+
 
 @dataclass(frozen=True)
 class FlowParams:
@@ -116,18 +120,29 @@ def poly_expand(frame, poly_n: int, poly_sigma: float) -> PolyExpansion:
         raise ValueError(f"image {img.shape} smaller than expansion window {poly_n}")
     k0, k1, k2, ginv = _expansion_kernels(poly_n, poly_sigma)
 
-    # The six separable correlations need only three distinct y (axis-0)
-    # passes; each is shared by the x (axis-1) passes that follow it.  Both
-    # sets of passes write into one buffer each, and the y-passes are freed
-    # before the solve.
-    ys = np.empty((3, *img.shape))
-    for row, k in enumerate((k0, k1, k2)):
-        ndimage.correlate1d(img, k, axis=0, output=ys[row], mode="nearest")
-    v = np.empty((*img.shape, 6))
-    for i, (row, kx) in enumerate(((0, k0), (0, k1), (1, k0), (0, k2), (2, k0), (1, k1))):
-        ndimage.correlate1d(ys[row], kx, axis=1, output=v[..., i], mode="nearest")
-    del ys
-    return PolyExpansion(v @ ginv.T)
+    # The level is expanded in strips of rows, each from its own rows plus
+    # the y-passes' reach (clipped at the image's edge, which replicates as
+    # the whole image does), so a strip's passes stay in cache.  The six
+    # separable correlations need only three distinct y (axis-0) passes;
+    # each is shared by the x (axis-1) passes that follow it.  Both sets of
+    # passes write into one buffer each, reused by every strip.
+    h, w = img.shape
+    rows = min(h, max(1, _STRIP_PIXELS // w))
+    reach = poly_n // 2
+    ys = np.empty((3, min(h, rows + 2 * reach), w))
+    v = np.empty((rows, w, 6))
+    out = np.empty((h, w, 5))
+    for r0 in range(0, h, rows):
+        r1 = min(h, r0 + rows)
+        lo, hi = max(0, r0 - reach), min(h, r1 + reach)
+        for row, k in enumerate((k0, k1, k2)):
+            ndimage.correlate1d(img[lo:hi], k, axis=0, output=ys[row, :hi - lo], mode="nearest")
+        strip = v[:r1 - r0]
+        for i, (row, kx) in enumerate(((0, k0), (0, k1), (1, k0), (0, k2), (2, k0), (1, k1))):
+            ndimage.correlate1d(ys[row, r0 - lo:r1 - lo], kx, axis=1, output=strip[..., i],
+                                mode="nearest")
+        np.matmul(strip, ginv.T, out=out[r0:r1])
+    return PolyExpansion(out)
 
 
 def _gaussian_kernel(length: int) -> np.ndarray:
@@ -166,6 +181,15 @@ def _dependency_cones(shapes: list[tuple[int, int]], span: tuple[slice, slice],
     return levels
 
 
+def cone_pyramid(pyramid: list[PolyExpansion], params: FlowParams,
+                 span: tuple[slice, slice]) -> list[PolyExpansion]:
+    """A copy of each level of `pyramid` on its first domain for `span`,
+    which is all `estimate_flow` reads of the pair's first frame, so the
+    whole levels can be freed."""
+    cones = _dependency_cones([e.a11.shape for e in pyramid], span, params)
+    return [PolyExpansion(e.planes[steps[0]].copy()) for e, steps in zip(pyramid, cones)]
+
+
 def _blur(arr: np.ndarray, kernel: np.ndarray, region: tuple[slice, slice]) -> np.ndarray:
     """Separable blur over the last two axes, so a stack blurs per plane,
     kept on `region` of them; rows are cropped between the passes."""
@@ -175,8 +199,8 @@ def _blur(arr: np.ndarray, kernel: np.ndarray, region: tuple[slice, slice]) -> n
 
 def _warp(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Every plane of the rows x cols x k `planes` sampled at (`rows`,
-    `cols`), two arrays of one shape, with one set of bilinear weights per
-    sample; the planes stay on the last axis.
+    `cols`), two arrays that broadcast to the samples' shape, with one set
+    of bilinear weights per sample; the planes stay on the last axis.
 
     Each plane has the bits `map_coordinates(plane, [rows, cols], order=1,
     mode="nearest")` gives it.  So, as there, an axis weighs its samples
@@ -192,7 +216,7 @@ def _warp(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         w0 = 1.0 - (c - lo)
         axes.append([(np.minimum(np.maximum(i, 0), n - 1).astype(np.intp) * stride, wt[..., None])
                      for i, wt in ((lo, w0), (lo + 1.0, 1.0 - w0))])
-    out = np.zeros((*rows.shape, k))
+    out = np.zeros((*np.broadcast_shapes(rows.shape, cols.shape), k))
     corner = np.empty_like(out)
     for iy, wy in axes[0]:
         for ix, wx in axes[1]:
@@ -207,19 +231,19 @@ def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy,
                   domain: tuple[slice, slice]) -> np.ndarray:
     """Stacked terms of the normal equations of min ||A d - db||^2.
 
-    `dx` and `dy` cover `domain` of the level; `e1` and `e2` are the whole
-    level, `e1` read on the domain and `e2` where the warp lands.  Kept
-    apart from the blur so the warped coefficients are freed first.
+    `dx`, `dy` and `e1` cover `domain` of the level; `e2` is the whole
+    level, read where the warp lands.  Kept apart from the blur so the
+    warped coefficients are freed first.
     """
     rows = np.arange(domain[0].start, domain[0].stop, dtype=np.float64)[:, None] + dy
     cols = np.arange(domain[1].start, domain[1].stop, dtype=np.float64) + dx
     warped = PolyExpansion(_warp(e2.planes, rows, cols))
     del rows, cols
-    a11 = 0.5 * (e1.a11[domain] + warped.a11)
-    a12 = 0.25 * (e1.axy[domain] + warped.axy)  # half the mean xy term; exact, a power of two
-    a22 = 0.5 * (e1.a22[domain] + warped.a22)
-    db1 = -0.5 * (warped.bx - e1.bx[domain]) + a11 * dx + a12 * dy
-    db2 = -0.5 * (warped.by - e1.by[domain]) + a12 * dx + a22 * dy
+    a11 = 0.5 * (e1.a11 + warped.a11)
+    a12 = 0.25 * (e1.axy + warped.axy)  # half the mean xy term; exact, a power of two
+    a22 = 0.5 * (e1.a22 + warped.a22)
+    db1 = -0.5 * (warped.bx - e1.bx) + a11 * dx + a12 * dy
+    db2 = -0.5 * (warped.by - e1.by) + a12 * dx + a22 * dy
     del warped
     return np.stack([
         a11 * a11 + a12 * a12,
@@ -259,19 +283,19 @@ def _resize(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return ndimage.zoom(arr, factors, order=1, mode="nearest", grid_mode=True)
 
 
-def _upsample(arr: np.ndarray, origin: tuple[int, int], level: tuple[int, int],
+def _upsample(planes: np.ndarray, origin: tuple[int, int], level: tuple[int, int],
               shape: tuple[int, int], region: tuple[slice, slice]) -> np.ndarray:
-    """`_resize(whole, shape)[region]`, where `whole` is a field of shape
-    `level` and `arr` is its part from pixel `origin` on.
+    """`_resize(whole[..., k], shape)[region]` for each plane k, where
+    `whole` is a rows x cols x k field of `level` rows x cols and `planes`
+    is its part from pixel `origin` on.
 
     The samples sit where `_resize` puts them, `(k + 0.5) * level / shape
-    - 0.5` on each axis, so they have its bits; `arr` must hold every
+    - 0.5` on each axis, so they have its bits; `planes` must hold every
     pixel they read.
     """
-    axes = [(np.arange(r.start, r.stop) + 0.5) * (n / m) - 0.5 - o
-            for r, n, m, o in zip(region, level, shape, origin)]
-    return ndimage.map_coordinates(arr, np.meshgrid(*axes, indexing="ij"),
-                                   order=1, mode="nearest")
+    rows, cols = ((np.arange(r.start, r.stop) + 0.5) * (n / m) - 0.5 - o
+                  for r, n, m, o in zip(region, level, shape, origin))
+    return _warp(planes, rows[:, None], cols)
 
 
 def expand_pyramid(frame, params: FlowParams) -> list[PolyExpansion]:
@@ -298,7 +322,10 @@ def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
                   params: FlowParams, span: tuple[slice, slice]) -> FlowField:
     """Displacement between two frames over the pixel `span`, coarse-to-fine from zero.
 
-    Each frame is its `expand_pyramid` result, built with `params`.
+    Each frame is its `expand_pyramid` result, built with `params`.  As
+    the first frame is read only on each level's first domain, its levels
+    may also be those domains alone (`cone_pyramid` for this `span`); a
+    level is told apart by its shape, and any other shape is rejected.
     `span` is a (rows, cols) pair of slices with integer bounds inside the
     frame, as `boxes.pixel_span` returns; the field covers exactly those
     pixels.  Each update runs only on its domain (`_dependency_cones`),
@@ -310,23 +337,28 @@ def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
     Ill-conditioned pixels keep the displacement they have (zero unless a
     coarser level set it), so the field is always fully populated.
     """
-    shapes1, shapes2 = ([e.a11.shape for e in pyr] for pyr in (prev_pyr, next_pyr))
-    if shapes1 != shapes2:
-        raise ValueError(f"frame shapes differ: {shapes1[0]} vs {shapes2[0]}")
+    shapes = [e.a11.shape for e in next_pyr]
+    domains = _dependency_cones(shapes, span, params)
+    if len(prev_pyr) != len(shapes) or any(
+            e.a11.shape not in (shape, tuple(s.stop - s.start for s in steps[0]))
+            for e, shape, steps in zip(prev_pyr, shapes, domains)):
+        raise ValueError(f"first frame's levels {[e.a11.shape for e in prev_pyr]} are neither "
+                         f"the second frame's {shapes} nor their cones")
 
     kernel = _gaussian_kernel(params.window)
-    domains = _dependency_cones(shapes1, span, params)
     coarser = None  # the coarser level's shape and where its final flow starts
     for e1, e2, steps in zip(reversed(prev_pyr), reversed(next_pyr), reversed(domains)):
-        shape, first = e1.a11.shape, steps[0]
+        shape, first = e2.a11.shape, steps[0]
+        cone = e1.planes[first] if e1.a11.shape == shape else e1.planes  # e1 on `first`
         if coarser is None:
-            dx = dy = np.zeros(tuple(s.stop - s.start for s in first))
+            dx = dy = np.zeros(cone.shape[:2])
         else:
             level, origin = coarser
-            dx = _upsample(dx, origin, level, shape, first) * (shape[1] / level[1])
-            dy = _upsample(dy, origin, level, shape, first) * (shape[0] / level[0])
+            up = _upsample(np.stack([dx, dy], -1), origin, level, shape, first)
+            dx, dy = up[..., 0] * (shape[1] / level[1]), up[..., 1] * (shape[0] / level[0])
         for domain, final in zip(steps, steps[1:]):
-            dx, dy = _update_flow(e1, e2, dx, dy, kernel, domain, final)
+            local = tuple(slice(d.start - f.start, d.stop - f.start) for d, f in zip(domain, first))
+            dx, dy = _update_flow(PolyExpansion(cone[local]), e2, dx, dy, kernel, domain, final)
         coarser = shape, (steps[-1][0].start, steps[-1][1].start)
     return FlowField(dx, dy)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from .analytics import (MotionSample, RikerRecord, SessionReport, align_riker,
                         count_workers, interaction_time, motion_step, relax)
 from .boxes import Detection, FrameDetections, match_detections, pixel_span
-from .flow import FlowParams, PolyExpansion, estimate_flow, expand_pyramid
+from .flow import FlowParams, PolyExpansion, cone_pyramid, estimate_flow, expand_pyramid
 from .frames import ThermalFrame, auto_window, normalize_to_gray
 
 # A detector returns one frame's detections.
@@ -88,6 +88,9 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
 
     This thread decides each frame's patient span and builds each
     pyramid a pair needs once; a frame whose span is a gap builds none.
+    Before the next frame's pyramid is built, the last one is cut to the
+    cone its next pair reads (`cone_pyramid`), so a whole pyramid lives
+    only until the pair that warps it is done.
     The pairs run on a pool of `os.cpu_count()` threads, and their
     scalars are relaxed in frame order with at most that many samples,
     pairs or gaps, waiting.  On one core, or when the first frame has
@@ -123,7 +126,7 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
                 span = _patient_span(fd, frame.temps.shape, config.conf_min)
                 cur_pyr = future = None
                 if span is not None:
-                    prev_pyr = prev_pyr or pyramid(prev_frame)
+                    prev_pyr = cone_pyramid(prev_pyr or pyramid(prev_frame), FLOW, span)
                     cur_pyr = pyramid(frame)
                     future = submit(pair_motion, prev_pyr, cur_pyr, fd, span, config)
                 pending.append((fd.timestamp, future))

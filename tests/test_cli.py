@@ -477,8 +477,9 @@ class TestStreamingEngine:
         assert peaks[1] <= 1.1 * peaks[0]
 
         # On more threads the pool's timing moves the bytes, so count the
-        # pyramids and frames alive at once: each waiting pair holds two
-        # pyramids, and this thread holds the frame pair being read.
+        # whole pyramids and frames alive at once: a pair in flight holds the
+        # whole pyramid it warps and only the cone of the one before, this
+        # thread the pyramid it builds, and the frame pair being read.
         expand, read = wardflow.pipeline.expand_pyramid, wardflow.frames.read_npy_frame
         for path, pool_min in PATHS.items():
             monkeypatch.setattr(wardflow.pipeline, "_POOL_MIN_PIXELS", pool_min)
@@ -494,7 +495,20 @@ class TestStreamingEngine:
                     analyze(frames)
                     alive.append((pyramids.peak, images.peak))
                 assert alive[0] == alive[1], (path, size)
-                assert alive[0][0] <= 2 * size and alive[0][1] <= 3, (path, size, alive[0])
+                most = size if path == "pooled" else 1
+                assert alive[0][0] <= most and alive[0][1] <= 3, (path, size, alive[0])
+
+    def test_peeked_frame_is_freed_once_read(self, tmp_path):
+        # the stream that reads the resolution off the first frame holds
+        # that frame only until it is handed on
+        session = small_session(tmp_path, 3)
+        frames = load_sequence(load_manifest(session / "manifest.json"), session)
+        resolution, stream = wardflow.cli._peek_resolution(frames)
+        assert resolution == (64, 48)
+        first = weakref.ref(next(stream))
+        assert next(stream).timestamp == 1.0
+        gc.collect()
+        assert first() is None
 
     def test_gap_samples_settle_within_the_pool(self, tmp_path, monkeypatch):
         # a run of gaps queues no sample per frame: each gap is relaxed

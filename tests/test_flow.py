@@ -7,8 +7,8 @@ import wardflow.pipeline
 from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
 from wardflow.flow import (FlowField, FlowParams, _dependency_cones, _resize, _upsample, _warp,
-                           estimate_flow, expand_pyramid, magnitude_stats, mask_worker_regions,
-                           poly_expand)
+                           cone_pyramid, estimate_flow, expand_pyramid, magnitude_stats,
+                           mask_worker_regions, poly_expand)
 from wardflow.frames import ThermalFrame
 from wardflow.pipeline import SessionConfig, analyze_session
 
@@ -78,6 +78,27 @@ class TestPolyExpand:
             assert e.a11[row, col] == pytest.approx(a11, abs=1e-8)
             assert e.a22[row, col] == pytest.approx(a22, abs=1e-8)
             assert e.axy[row, col] == pytest.approx(2.0 * a12, abs=1e-8)
+
+    def test_strips_have_the_bits_of_one_strip(self, monkeypatch):
+        # strips of one row, of odd heights and taller than the level all
+        # give the bits of the level expanded as one strip
+        rng = np.random.default_rng(17)
+        shapes = [(5, 5), (5, 384), (300, 7), (288, 384), (6, 9), (13, 5), (37, 41)]
+        shapes += [tuple(int(n) for n in rng.integers(5, 90, size=2)) for _ in range(12)]
+        for shape in shapes:
+            for img in (rng.integers(-50, 300, shape).astype(np.float64),
+                        rng.uniform(-5e5, 5e5, shape),
+                        np.where(rng.random(shape) < 0.5, -0.0, 0.0)):
+                for poly_n, poly_sigma in ((5, 1.1), (7, 1.5)):
+                    if min(shape) < poly_n:
+                        continue
+                    monkeypatch.setattr(wardflow.flow, "_STRIP_PIXELS", img.size)
+                    whole = poly_expand(img, poly_n, poly_sigma).planes
+                    for rows in {1, 2, 3, 7, int(rng.integers(1, shape[0] + 1)), shape[0] + 5}:
+                        monkeypatch.setattr(wardflow.flow, "_STRIP_PIXELS", rows * shape[1])
+                        got = poly_expand(img, poly_n, poly_sigma).planes
+                        assert np.array_equal(got.view(np.int64), whole.view(np.int64)), \
+                            (shape, poly_n, rows)
 
     def test_too_small_image_rejected(self):
         with pytest.raises(ValueError):
@@ -221,6 +242,36 @@ class TestDependencyCone:
         # coarse levels iterated whole
         assert inner_coarse_cones >= 50
 
+    def test_first_frame_cone_has_the_bits_of_its_pyramid(self):
+        # fed only the cone of its first frame's pyramid, the flow has the
+        # bits it has when fed the whole pyramid; a cone cut for another
+        # span, whose shape is neither a level's nor its cone's, is rejected
+        rng = np.random.default_rng(31)
+        rejected = 0
+        for case in range(20):
+            shape = (int(rng.integers(10, 100)), int(rng.integers(10, 120)))
+            params = FlowParams(pyramid_levels=int(rng.integers(1, 5)),
+                                window=int(rng.choice(np.arange(5, 22, 2))),
+                                iterations=int(rng.integers(1, 5)))
+            a = smooth_texture(case, shape=shape, sigma=2.0)
+            b = np.roll(a, tuple(rng.integers(-3, 4, size=2)), axis=(0, 1)) + rng.normal(size=shape)
+            prev_pyr, next_pyr = expand_pyramid(a, params), expand_pyramid(b, params)
+            spans = self.spans(rng, shape, params)
+            for span, other in zip(spans, spans[1:] + spans[:1]):
+                cone = cone_pyramid(prev_pyr, params, span)
+                full = estimate_flow(prev_pyr, next_pyr, params, span)
+                flow = estimate_flow(cone, next_pyr, params, span)
+                for got, want in ((flow.dx, full.dx), (flow.dy, full.dy)):
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                        (shape, params, span)
+                cut = cone_pyramid(prev_pyr, params, other)
+                if any(c.a11.shape not in (e.a11.shape, k.a11.shape)
+                       for c, e, k in zip(cut, next_pyr, cone)):
+                    with pytest.raises(ValueError):
+                        estimate_flow(cut, next_pyr, params, span)
+                    rejected += 1
+        assert rejected >= 50
+
 
 class TestConeUpsample:
     """Carrying a coarser field up on a region has the bits of `_resize`."""
@@ -232,10 +283,14 @@ class TestConeUpsample:
                      for r, n, m in zip(region, level, shape))
 
     def check(self, arr, shape, region):
-        expected = _resize(arr, shape)[region]
-        assert np.array_equal(_upsample(arr, (0, 0), arr.shape, shape, region), expected)
+        # two planes, each equal to what `_resize` gives it alone; only the
+        # sign of a zero may differ, where `_resize` keeps a -0.0 that the
+        # warp's sum from 0.0 turns to 0.0, as `map_coordinates` does
+        planes = np.stack([arr, -3.0 * arr], -1)
+        expected = np.stack([_resize(p, shape)[region] for p in (arr, -3.0 * arr)], -1)
+        assert np.array_equal(_upsample(planes, (0, 0), arr.shape, shape, region), expected)
         part = self.footprint(region, arr.shape, shape)
-        got = _upsample(arr[part], (part[0].start, part[1].start), arr.shape, shape, region)
+        got = _upsample(planes[part], (part[0].start, part[1].start), arr.shape, shape, region)
         assert np.array_equal(got, expected), (arr.shape, shape, region)
 
     @pytest.mark.parametrize("level, shape", [((9, 12), (18, 24)), ((18, 23), (37, 41)),
@@ -257,10 +312,11 @@ class TestConeUpsample:
 
     def test_random_shapes_and_regions(self):
         rng = np.random.default_rng(29)
-        for _ in range(300):
+        for _ in range(2000):
             level = tuple(int(n) for n in rng.integers(1, 50, size=2))
             shape = tuple(max(1, int(n * rng.uniform(1.0, 3.0))) for n in level)
-            arr = rng.normal(size=level)
+            arr = rng.normal(size=level) * rng.choice([1.0, 1e6])
+            arr[rng.random(level) < 0.2] = rng.choice([0.0, -0.0])
             bounds = [np.sort(rng.choice(m + 1, size=2, replace=False)) for m in shape]
             self.check(arr, shape, tuple(slice(int(lo), int(hi)) for lo, hi in bounds))
 
