@@ -120,8 +120,9 @@ def interaction_time(series: list[FrameDetections], tau: float = 0.1,
 def motion_step(flow: FlowField, span: tuple[slice, slice], workers: list[BoundingBox]) -> float:
     """Unrelaxed motion of one frame: magnitude mean+std of `flow`, the
     field over the patient's pixel `span`, with the pixels of worker
-    boxes zeroed."""
-    mean, std = magnitude_stats(mask_worker_regions(flow, span, workers))
+    boxes zeroed.  Zeroing the magnitude gives the bits of zeroing dx and
+    dy, since hypot(0, 0) is exactly 0.0."""
+    mean, std = magnitude_stats(mask_worker_regions(flow.magnitude(), span, workers))
     return mean + std
 
 
@@ -144,11 +145,12 @@ def align_riker(motion: list[MotionSample], records: list[RikerRecord],
     """
     if not 0 < window < math.inf:
         raise ValueError(f"window must be positive and finite, got {window}")
+    ts = np.array([s.timestamp for s in motion if not s.gap])
+    smoothed = np.array([s.smoothed for s in motion if not s.gap])
     by_score: dict[int, list[float]] = {}
     for rec in records:
-        values = [s.smoothed for s in motion
-                  if not s.gap and abs(s.timestamp - rec.timestamp) <= window]
-        if values:
+        values = smoothed[np.abs(ts - rec.timestamp) <= window]
+        if values.size:
             by_score.setdefault(rec.score, []).append(float(np.mean(values)))
     groups = []
     for score in sorted(by_score):

@@ -144,6 +144,16 @@ def parse_time(value) -> float:
                      f"got {value!r}")
 
 
+def parse_box(value) -> BoundingBox:
+    """A box read from an input file: a JSON array of four numbers
+    [x, y, w, h].  ValueError otherwise, so a string such as "1234" is not
+    read as its characters (OverflowError for an integer beyond a float)."""
+    if not (isinstance(value, list) and len(value) == 4 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"box must be an array of four numbers [x, y, w, h], got {value!r}")
+    return BoundingBox(*map(float, value))
+
+
 def match_detections(timeline: Sequence, dets: list[FrameDetections]) -> list[FrameDetections]:
     """Pair each timeline item (anything with a `.timestamp`) with the
     detections of the same time key; missing -> empty.  Detection frames

@@ -16,13 +16,13 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .analytics import SessionReport, read_riker_csv
-from .boxes import BoundingBox, ObjectClass, match_detections
+from .boxes import BoundingBox, FrameDetections, ObjectClass, match_detections, parse_box
 from .detect import blob_detect, parse_detections_jsonl
 from .errors import FormatError, UnsupportedError, ValidationError
 from .evaluation import (DEFAULT_IOU_THRESHOLDS, APTable, counting_accuracy,
                          format_duration, mean_ap, time_error)
 from .frames import ThermalFrame, load_manifest, load_sequence
-from .pipeline import SessionConfig, analyze_session, tally
+from .pipeline import SessionConfig, analyze_session, joined, tally
 from .svgplot import Panel, Series, render_chart
 from .synth import export_session, load_scenario, render
 
@@ -43,6 +43,14 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
 
 def _csv(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
+
+
+def _csv_cell(text: str) -> str:
+    """`text` as one CSV cell, quoted where `csv.writer`'s minimal quoting
+    quotes it: a comma, quote or line break would otherwise split the row."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _box_fields(b: BoundingBox) -> list[float]:
@@ -102,6 +110,7 @@ def _eval_files(table: APTable, name: str, worker_acc: float, pi_acc: float,
                 nursing: tuple[float, float], interaction: tuple[float, float]) -> dict[str, str]:
     """Every file `eval` writes, by name; `nursing` and `interaction` are
     (predicted, label) seconds, and `name` labels the table rows."""
+    name = _csv_cell(name)
     def cells(by_class: dict[ObjectClass, float]) -> str:
         """One cell per class column; empty for a class with no ground truth."""
         return ",".join(f"{by_class[c]:.4f}" if c in by_class else "" for c in ObjectClass)
@@ -127,13 +136,6 @@ def _eval_files(table: APTable, name: str, worker_acc: float, pi_acc: float,
             "interaction_time": _time_json(*interaction),
         }, indent=2, allow_nan=False) + "\n",
     }
-
-
-def _parse_box(text: str) -> BoundingBox:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"expected x,y,w,h, got {text!r}")
-    return BoundingBox(*parts)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,19 +206,19 @@ def _cmd_analyze(args) -> int:
     config = SessionConfig(tau=args.tau, alpha=args.alpha, dt=manifest.dt,
                            conf_min=args.conf_min, riker_window=args.riker_window,
                            contrast_window=contrast)
-    bed = _parse_box(args.bed) if args.bed else None
+    bed = parse_box([float(v) for v in args.bed.split(",")]) if args.bed else None
 
     frames = load_sequence(manifest, manifest_path.parent)
     if args.dets:
         resolution, frames = _peek_resolution(frames)
         dets = parse_detections_jsonl(Path(args.dets).read_text(), resolution)
+        session = joined(frames, manifest.frames, dets)
     else:
-        def dets(frame):
-            return blob_detect(frame, args.blob_min_temp, args.blob_min_area, bed)
+        session = ((frame, FrameDetections(frame.timestamp, blob_detect(
+            frame, args.blob_min_temp, args.blob_min_area, bed))) for frame in frames)
     riker = read_riker_csv(Path(args.riker).read_text()) if args.riker else None
 
-    report = analyze_session(frames, dets, config, riker,
-                             compute_motion=not args.no_motion, timeline=manifest.frames)
+    report = analyze_session(session, config, riker, compute_motion=not args.no_motion)
 
     _write_files(Path(args.out), _analyze_files(report, [e.timestamp for e in manifest.frames]))
     print(f"nursing_time_s={report.nursing_time_s} "

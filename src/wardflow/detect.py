@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 from scipy import ndimage
 
-from .boxes import (BoundingBox, Detection, FrameDetections, ObjectClass, parse_time,
-                    time_key)
+from .boxes import (BoundingBox, Detection, FrameDetections, ObjectClass, parse_box,
+                    parse_time, time_key)
 from .errors import FormatError
 from .frames import ThermalFrame
 
@@ -67,8 +67,7 @@ def parse_detections_jsonl(text: str,
                 raise FormatError(f"unknown class {name!r}", line=lineno)
             try:
                 conf = float(d.get("conf", 1.0))
-                x, y, w, h = (float(v) for v in d["box"])
-                box = BoundingBox(x, y, w, h)
+                box = parse_box(d["box"])
                 det = Detection(box, cls, conf)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"bad detection {d!r}: {exc}", line=lineno) from exc

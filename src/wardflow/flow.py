@@ -57,12 +57,6 @@ class FlowField:
     dx: np.ndarray
     dy: np.ndarray
 
-    def __post_init__(self):
-        self.dx = np.asarray(self.dx, dtype=np.float64)
-        self.dy = np.asarray(self.dy, dtype=np.float64)
-        if self.dx.shape != self.dy.shape or self.dx.ndim != 2:
-            raise ValueError("dx and dy must be 2-D arrays of equal shape")
-
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.dx, self.dy)
 
@@ -363,22 +357,20 @@ def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
     return FlowField(dx, dy)
 
 
-def magnitude_stats(flow: FlowField) -> tuple[float, float]:
-    """Mean and population std of the flow magnitude over the whole field."""
-    mag = flow.magnitude()
+def magnitude_stats(mag: np.ndarray) -> tuple[float, float]:
+    """Mean and population std of the flow magnitude `mag` over the whole field."""
     return float(mag.mean()), float(mag.std())
 
 
-def mask_worker_regions(flow: FlowField, span: tuple[slice, slice],
-                        workers: list[BoundingBox]) -> FlowField:
-    """A copy of `flow`, the field over the pixel `span`, zeroed on the
-    pixels of `span` that lie in a worker's `pixel_span`."""
-    dx, dy = flow.dx.copy(), flow.dy.copy()
+def mask_worker_regions(mag: np.ndarray, span: tuple[slice, slice],
+                        workers: list[BoundingBox]) -> np.ndarray:
+    """`mag`, the flow magnitude over the pixel `span`, zeroed in place on
+    the pixels of `span` that lie in a worker's `pixel_span`."""
     for worker in workers:
         inner = pixel_span(worker, span[1].stop, span[0].stop)
         if inner is not None:
             # a worker wholly left of or above the span gives a stop of 0
             local = tuple(slice(max(i.start - s.start, 0), max(i.stop - s.start, 0))
                           for i, s in zip(inner, span))
-            dx[local] = dy[local] = 0.0
-    return FlowField(dx, dy)
+            mag[local] = 0.0
+    return mag

@@ -5,18 +5,15 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .analytics import (MotionSample, RikerRecord, SessionReport, align_riker,
                         count_workers, interaction_time, motion_step, relax)
-from .boxes import Detection, FrameDetections, match_detections, pixel_span
+from .boxes import FrameDetections, match_detections, pixel_span
 from .flow import FlowParams, PolyExpansion, cone_pyramid, estimate_flow, expand_pyramid
 from .frames import ThermalFrame, auto_window, normalize_to_gray
-
-# A detector returns one frame's detections.
-Detector = Callable[[ThermalFrame], list[Detection]]
 
 # The paper's Farneback settings, the only ones the motion score uses.
 FLOW = FlowParams()
@@ -82,9 +79,10 @@ def _settled(fn, *args) -> Future:
     return future
 
 
-def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
-                   config: SessionConfig) -> list[MotionSample]:
-    """The relaxed motion series over one pass of (frame, detections).
+def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]], config: SessionConfig
+                   ) -> tuple[list[FrameDetections], list[MotionSample]]:
+    """The detections read and the relaxed motion series over one pass of
+    (frame, detections).
 
     This thread decides each frame's patient span and builds each
     pyramid a pair needs once; a frame whose span is a gap builds none.
@@ -99,6 +97,7 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
     """
     size = os.cpu_count() or 1
     pending: deque[tuple[float, Future | None]] = deque()  # in frame order; None is a gap
+    per_frame: list[FrameDetections] = []
     motion: list[MotionSample] = []
 
     def settle(limit: int) -> None:
@@ -113,6 +112,7 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
     with ThreadPoolExecutor(size) as pool:
         prev_frame = prev_pyr = window = None
         for k, (frame, fd) in enumerate(session):
+            per_frame.append(fd)
             if k == 1:
                 if min(prev_frame.temps.shape) < FLOW.poly_n:
                     raise ValueError(f"frames of shape {prev_frame.temps.shape} are smaller "
@@ -133,23 +133,27 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]],
                 prev_pyr = cur_pyr
             prev_frame = frame
         settle(0)
-    return motion
+    return per_frame, motion
 
 
-def analyze_session(frames: Iterable[ThermalFrame], dets: list[FrameDetections] | Detector,
+def joined(frames: Iterable[ThermalFrame], timeline: Sequence,
+           dets: list[FrameDetections]) -> Iterator[tuple[ThermalFrame, FrameDetections]]:
+    """The session stream of `frames` and per-frame detections `dets`,
+    joined by timestamp to `timeline` (one item with a `.timestamp` per
+    frame, such as the manifest's entries) by `match_detections` when the
+    stream is first read."""
+    yield from zip(frames, match_detections(timeline, dets), strict=True)
+
+
+def analyze_session(session: Iterable[tuple[ThermalFrame, FrameDetections]],
                     config: SessionConfig | None = None,
                     riker: list[RikerRecord] | None = None,
-                    compute_motion: bool = True,
-                    timeline: Sequence | None = None) -> SessionReport:
-    """Run the full analytics over a session, reading each frame once.
+                    compute_motion: bool = True) -> SessionReport:
+    """Run the full analytics over a session, reading each pair once.
 
-    `frames` are `ThermalFrame`s, as a list or a one-pass stream such as
-    `load_sequence`; no frame is kept beyond the flow pairs in flight.
-    `dets` is either per-frame detections, joined to `timeline` by
-    timestamp, or a detector run on each frame as it streams by.
-    `timeline` holds one item with a `.timestamp` per frame (the
-    manifest's entries); it defaults to `frames`, which must then be a
-    list.
+    `session` is one pass of (frame, detections) pairs in time order, as
+    a list or a stream such as `joined` over `load_sequence`; no frame is
+    kept beyond the flow pairs in flight.
 
     The motion score is flow between consecutive normalized frames,
     masked to the current patient box with worker overlaps zeroed, and
@@ -162,24 +166,10 @@ def analyze_session(frames: Iterable[ThermalFrame], dets: list[FrameDetections] 
     per-second counts, flags and totals are `tally`'s.
     """
     config = config or SessionConfig()
-    if callable(dets):
-        per_frame = []
-
-        def detected():
-            for frame in frames:
-                per_frame.append(FrameDetections(frame.timestamp, dets(frame)))
-                yield frame, per_frame[-1]
-        session = detected()
-    else:
-        per_frame = match_detections(frames if timeline is None else timeline, dets)
-        session = zip(frames, per_frame, strict=True)
-
     if compute_motion:
-        motion = _motion_series(session, config)
+        per_frame, motion = _motion_series(session, config)
     else:
-        motion = []
-        for _ in session:  # validates every frame and runs the detector
-            pass
+        per_frame, motion = [fd for _, fd in session], []
     return replace(tally(per_frame, config), motion=motion,
                    riker=align_riker(motion, riker, config.riker_window) if riker else [])
 

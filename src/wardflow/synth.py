@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import physical_interaction
-from .boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
+from .boxes import (BoundingBox, Detection, FrameDetections, ObjectClass, parse_box,
+                    pixel_span)
 from .detect import detections_to_jsonl
 from .errors import FormatError
 from .frames import (FrameEntry, SequenceManifest, ThermalFrame, check_resolution,
@@ -104,7 +105,7 @@ class GroundTruthBundle:
 
 
 def _script_from_dict(doc: dict) -> ActorScript:
-    keyframes = [Keyframe(float(k["t"]), BoundingBox(*map(float, k["box"])))
+    keyframes = [Keyframe(float(k["t"]), parse_box(k["box"]))
                  for k in doc["keyframes"]]
     return ActorScript(keyframes,
                        enter=float(doc.get("enter", 0.0)),

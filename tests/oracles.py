@@ -4,7 +4,8 @@ These deliberately avoid the library's fast paths: rasterized pixel
 sets for box geometry, flood fill for components, dense least squares
 for the polynomial fit, naive PR enumeration for AP, the per-pair flow
 arithmetic with no shared passes, and the motion statistics taken over
-the whole frame through a boolean region.  The output files of
+the whole frame through a boolean region, and a scan of every motion
+sample per Riker record.  The output files of
 `analyze` and `eval` are formatted here line by line, field by field,
 and the durations of the paper's tables are parsed here.
 """
@@ -15,7 +16,7 @@ import re
 import numpy as np
 from scipy import ndimage
 
-from wardflow.analytics import count_workers, interaction_time
+from wardflow.analytics import RikerGroup, count_workers, interaction_time
 from wardflow.boxes import (BoundingBox, ObjectClass, intersection_area, iou,
                             match_detections, pixel_span)
 from wardflow.evaluation import counting_accuracy, format_duration, mean_ap, time_error
@@ -204,6 +205,26 @@ def motion_raw_full_frame(flow, patient, workers):
     region[span] = True
     mag = np.hypot(dx, dy)[region]
     return float(mag.mean()) + float(mag.std())
+
+
+def align_riker_loop(motion, records, window):
+    """Riker groups with each record's window found by scanning every
+    motion sample: the mean of the smoothed non-gap samples within
+    +/-window seconds, then per score the mean and quartiles of the
+    record means."""
+    by_score = {}
+    for rec in records:
+        values = [s.smoothed for s in motion
+                  if not s.gap and abs(s.timestamp - rec.timestamp) <= window]
+        if values:
+            by_score.setdefault(rec.score, []).append(float(np.mean(values)))
+    groups = []
+    for score in sorted(by_score):
+        means = by_score[score]
+        q25, q50, q75 = np.percentile(means, [25.0, 50.0, 75.0])
+        groups.append(RikerGroup(score, float(np.mean(means)),
+                                 float(q25), float(q50), float(q75), len(means)))
+    return groups
 
 
 def ap_bruteforce(pred_frames, gt_frames, cls, thr):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wardflow.pipeline
-from oracles import motion_raw_full_frame
+from oracles import align_riker_loop, motion_raw_full_frame
 from wardflow.analytics import (MotionSample, RikerRecord, align_riker,
                                 count_workers, interaction_time, motion_step,
                                 physical_interaction, read_riker_csv, relax,
@@ -256,7 +256,7 @@ class TestMotionStep:
         frames = [ThermalFrame(rng.uniform(20.0, 37.0, size=(12, 16)), float(t))
                   for t in range(6)]
         series = [frame(float(t), patients=[((3.2, 3.2, 0.5, 0.5), 0.9)]) for t in range(6)]
-        report = analyze_session(frames, series, SessionConfig())
+        report = analyze_session(zip(frames, series, strict=True), SessionConfig())
         assert [s.gap for s in report.motion] == [True] * 5
         assert built == []
 
@@ -367,6 +367,40 @@ class TestAlignRiker:
     def test_score_range_enforced(self):
         with pytest.raises(ValueError):
             RikerRecord(0.0, 8)
+
+    def test_matches_the_sample_scan_bitwise(self):
+        # random sessions with gaps, records whose window edge falls exactly
+        # on a sample, and records whose window holds no sample
+        rng = np.random.default_rng(29)
+        seen = {"edge": 0, "empty": 0}
+        for _ in range(300):
+            n = int(rng.integers(0, 60))
+            scale = 10.0 ** rng.uniform(-6, 3)
+            times = np.sort(rng.choice(200, size=n, replace=False)) * 0.5
+            motion = [MotionSample(float(t), 0.0, float(v), gap=bool(g)) for t, v, g in
+                      zip(times, rng.uniform(0, 1, n) * scale, rng.random(n) < 0.2)]
+            window = float(rng.integers(1, 20)) * 0.25
+            records = []
+            for _ in range(int(rng.integers(0, 8))):
+                how = rng.integers(0, 3)
+                if how == 0 and n:    # a sample exactly on the window's edge
+                    t = float(times[rng.integers(0, n)]) + window * rng.choice([-1.0, 1.0])
+                elif how == 1:        # beyond every sample
+                    t = 100.0 + window + float(rng.uniform(1, 50))
+                else:
+                    t = float(rng.uniform(-5, 105))
+                records.append(RikerRecord(t, int(rng.integers(1, 8))))
+            for rec in records:
+                dist = [abs(s.timestamp - rec.timestamp) for s in motion if not s.gap]
+                seen["edge"] += window in dist
+                seen["empty"] += not any(d <= window for d in dist)
+            got = align_riker(motion, records, window)
+            expected = align_riker_loop(motion, records, window)
+            assert [(g.score, g.n) for g in got] == [(g.score, g.n) for g in expected]
+            for g, e in zip(got, expected):
+                assert [v.hex() for v in (g.mean, g.q25, g.q50, g.q75)] == \
+                    [v.hex() for v in (e.mean, e.q25, e.q50, e.q75)]
+        assert seen["edge"] >= 100 and seen["empty"] >= 100
 
 
 class TestRikerCsv:

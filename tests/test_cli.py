@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import os
@@ -16,7 +17,7 @@ import wardflow.pipeline
 from wardflow.cli import main
 from wardflow.detect import parse_detections_jsonl
 from wardflow.frames import load_manifest, load_sequence
-from wardflow.pipeline import SessionConfig, analyze_session
+from wardflow.pipeline import SessionConfig, analyze_session, joined
 
 SCENARIO = {
     "duration": 8,
@@ -79,7 +80,9 @@ class TestSynth:
         {"workers": [{"enter": float("nan"), "exit": 6,
                       "keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}]},
         {"workers": [{"enter": 2, "exit": float("nan"),
-                      "keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}]}])
+                      "keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}]},
+        # a string is no box, though its four characters read as digits
+        {"patient": {"keyframes": [{"t": 0, "box": "1234"}]}}])
     def test_malformed_scenario_exit_3(self, tmp_path, change):
         # a declared value is honoured or rejected: a NaN or negative noise
         # is not rendered as no noise, an infinite last keyframe is not
@@ -301,7 +304,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("option", ["--blob-min-temp=nan", "--blob-min-area=nan",
                                         "--blob-min-area=inf", "--bed=nan,0,5,5",
-                                        "--bed=0,0,inf,5"])
+                                        "--bed=0,0,inf,5", "--bed=0,0,5"])
     def test_non_finite_blob_setting_exit_4(self, session, tmp_path, option):
         assert main(["analyze", "--manifest", str(session / "manifest.json"), "--blob",
                      "--no-motion", option, "--out", str(tmp_path / "o")]) == 4
@@ -320,6 +323,8 @@ class TestAnalyze:
         {"dets": [{"cls": ["patient"], "box": [4, 4, 5, 5]}]},        # unhashable class
         {"dets": [{"cls": "patient", "box": [4, 4, 5e-324, 5e-324]},  # an area of 0
                   {"cls": "worker", "box": [0, 0, 20, 20]}]},
+        {"dets": [{"cls": "worker", "box": "1234"}]},                 # not four digits
+        {"dets": [{"cls": "worker", "box": [True, 2, 3, 4]}]},        # a bool is no number
     ])
     def test_malformed_detection_exit_3(self, session, tmp_path, change):
         # each of these ended in a traceback before
@@ -457,8 +462,8 @@ class TestStreamingEngine:
 
         def analyze(frames):
             session, manifest, dets = sessions[frames]
-            report = analyze_session(load_sequence(manifest, session), dets, SessionConfig(),
-                                     timeline=manifest.frames)
+            report = analyze_session(joined(load_sequence(manifest, session), manifest.frames,
+                                            dets), SessionConfig())
             assert len(report.motion) == frames - 1
 
         # On one core each pair runs on this thread before the next frame is
@@ -535,7 +540,7 @@ class TestStreamingEngine:
                 return relax(prev, timestamp, raw, alpha)
 
             monkeypatch.setattr(wardflow.pipeline, "relax", recorded)
-            report = analyze_session(frames(), dets, SessionConfig(), timeline=manifest.frames)
+            report = analyze_session(joined(frames(), manifest.frames, dets), SessionConfig())
             gaps = [s.timestamp for s in report.motion if s.gap]
             assert gaps == [float(t) for t in range(5, 35)]
             for t in gaps:
@@ -718,6 +723,18 @@ class TestEval:
         assert main(["eval", "--dets", str(session / "truth_dets.jsonl"),
                      "--gt", str(session / "truth_dets.jsonl"), "--out", str(tmp_path / "e")]) == 0
         assert len(calls) == 1
+
+    def test_name_with_a_comma_keeps_its_cell(self, session, tmp_path):
+        name = 'ward 3, bed "2"'
+        out = tmp_path / "e"
+        assert main(["eval", "--dets", str(session / "truth_dets.jsonl"),
+                     "--gt", str(session / "truth_dets.jsonl"), "--name", name,
+                     "--out", str(out)]) == 0
+        for file in ["accuracy.csv", "nursing_time.csv", "interaction_time.csv"]:
+            with open(out / file, newline="") as f:
+                header, *rows = csv.reader(f)
+            assert rows and all(len(row) == len(header) for row in rows), file
+            assert [row[0] for row in rows] == [name], file
 
     def test_bad_thresholds_exit_4(self, session, tmp_path):
         assert main(["eval", "--dets", str(session / "truth_dets.jsonl"),

@@ -6,7 +6,7 @@ import wardflow.flow
 import wardflow.pipeline
 from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
-from wardflow.flow import (FlowField, FlowParams, _dependency_cones, _resize, _upsample, _warp,
+from wardflow.flow import (FlowParams, _dependency_cones, _resize, _upsample, _warp,
                            cone_pyramid, estimate_flow, expand_pyramid, magnitude_stats,
                            mask_worker_regions, poly_expand)
 from wardflow.frames import ThermalFrame
@@ -424,18 +424,17 @@ class TestIterationDomains:
 
 class TestMagnitudeStats:
     def test_uniform_flow(self):
-        flow = FlowField(np.ones((8, 8)), np.zeros((8, 8)))
-        assert magnitude_stats(flow) == (1.0, 0.0)
+        assert magnitude_stats(np.ones((8, 8))) == (1.0, 0.0)
 
     def test_half_and_half(self):
-        dx = np.zeros((2, 8))
-        dx[1] = 2.0
-        mean, std = magnitude_stats(FlowField(dx, np.zeros_like(dx)))
+        mag = np.zeros((2, 8))
+        mag[1] = 2.0
+        mean, std = magnitude_stats(mag)
         assert mean == 1.0
         assert std == 1.0
 
     def test_zero_field(self):
-        assert magnitude_stats(FlowField(np.zeros((8, 8)), np.zeros((8, 8)))) == (0.0, 0.0)
+        assert magnitude_stats(np.zeros((8, 8))) == (0.0, 0.0)
 
     def test_empty_mask_rejected(self, monkeypatch):
         # a box between two integer columns covers no pixel: the pair is a
@@ -448,71 +447,70 @@ class TestMagnitudeStats:
         frames = [ThermalFrame(np.full((8, 8), 22.0), float(t)) for t in range(2)]
         series = [FrameDetections(float(t), [Detection(BoundingBox(1.2, 0, 0.5, 8),
                                                        ObjectClass.PATIENT)]) for t in range(2)]
-        assert analyze_session(frames, series, SessionConfig()).motion[0].gap
+        assert analyze_session(zip(frames, series, strict=True), SessionConfig()).motion[0].gap
 
     def test_mask_permutation_invariant(self):
         rng = np.random.default_rng(5)
-        flow = FlowField(rng.normal(size=(10, 10)), rng.normal(size=(10, 10)))
-        mean, std = magnitude_stats(flow)
+        mag = np.hypot(rng.normal(size=(10, 10)), rng.normal(size=(10, 10)))
+        mean, std = magnitude_stats(mag)
         # permute the pixels of the field among themselves
         perm = rng.permutation(100)
-        shuffled = FlowField(flow.dx.ravel()[perm].reshape(10, 10),
-                             flow.dy.ravel()[perm].reshape(10, 10))
-        mean2, std2 = magnitude_stats(shuffled)
+        mean2, std2 = magnitude_stats(mag.ravel()[perm].reshape(10, 10))
         assert mean2 == pytest.approx(mean, abs=1e-12)
         assert std2 == pytest.approx(std, abs=1e-12)
 
 
-def masked(flow, patient, workers):
-    """`mask_worker_regions` of the field over the patient's pixel span, and that span."""
-    height, width = flow.dx.shape
+def masked(mag, patient, workers):
+    """`mask_worker_regions` of a copy of the whole-frame magnitude `mag`
+    over the patient's pixel span, as `motion_step` hands it a fresh
+    magnitude, and that span."""
+    height, width = mag.shape
     span = pixel_span(patient, width, height)
-    return mask_worker_regions(FlowField(flow.dx[span], flow.dy[span]), span, workers), span
+    return mask_worker_regions(mag[span].copy(), span, workers), span
 
 
 class TestMaskWorkerRegions:
     def test_no_workers_identity(self):
         rng = np.random.default_rng(6)
-        flow = FlowField(rng.normal(size=(20, 20)), rng.normal(size=(20, 20)))
-        out, span = masked(flow, BoundingBox(2, 2, 10, 10), [])
-        assert np.array_equal(out.dx, flow.dx[span])
-        assert np.array_equal(out.dy, flow.dy[span])
+        mag = np.hypot(rng.normal(size=(20, 20)), rng.normal(size=(20, 20)))
+        out, span = masked(mag, BoundingBox(2, 2, 10, 10), [])
+        assert np.array_equal(out, mag[span])
 
     def test_full_cover_zeroes_patient(self):
-        flow = FlowField(np.ones((20, 20)), np.ones((20, 20)))
-        out, _ = masked(flow, BoundingBox(4, 4, 8, 8), [BoundingBox(0, 0, 20, 20)])
-        # the result is the patient's 8x8 span only, all of it zeroed
-        assert out.dx.shape == (8, 8)
-        assert np.all(out.dx == 0.0) and np.all(out.dy == 0.0)
-        assert np.all(flow.dx == 1.0)  # the input field is left as it was
+        mag = np.ones((20, 20))
+        given = mag[4:12, 4:12].copy()
+        out = mask_worker_regions(given, pixel_span(BoundingBox(4, 4, 8, 8), 20, 20),
+                                  [BoundingBox(0, 0, 20, 20)])
+        # the result is the patient's 8x8 span only, all of it zeroed, in place
+        assert out is given
+        assert out.shape == (8, 8)
+        assert np.all(out == 0.0)
+        assert np.all(mag == 1.0)  # the whole-frame field is left as it was
 
     def test_partial_overlap_matches_raster_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            flow = FlowField(rng.normal(size=(32, 32)), rng.normal(size=(32, 32)))
+            mag = np.hypot(rng.normal(size=(32, 32)), rng.normal(size=(32, 32)))
             patient = BoundingBox(int(rng.integers(0, 16)), int(rng.integers(0, 16)),
                                   int(rng.integers(4, 16)), int(rng.integers(4, 16)))
             workers = [BoundingBox(int(rng.integers(0, 24)), int(rng.integers(0, 24)),
                                    int(rng.integers(2, 8)), int(rng.integers(2, 8)))
                        for _ in range(2)]
-            out, span = masked(flow, patient, workers)
+            out, span = masked(mag, patient, workers)
             pm = raster_mask(patient, 32, 32)
             wm = np.zeros_like(pm)
             for w in workers:
                 wm |= raster_mask(w, 32, 32)
-            assert np.array_equal(pm[span], np.ones(out.dx.shape, dtype=bool))
+            assert np.array_equal(pm[span], np.ones(out.shape, dtype=bool))
             zeroed = (pm & wm)[span]
-            assert np.all(out.dx[zeroed] == 0.0)
-            assert np.all(out.dy[zeroed] == 0.0)
-            assert np.array_equal(out.dx[~zeroed], flow.dx[span][~zeroed])
-            assert np.array_equal(out.dy[~zeroed], flow.dy[span][~zeroed])
+            assert np.all(out[zeroed] == 0.0)
+            assert np.array_equal(out[~zeroed], mag[span][~zeroed])
 
     def test_idempotent_and_nonincreasing(self):
         rng = np.random.default_rng(8)
-        flow = FlowField(rng.normal(size=(24, 24)), rng.normal(size=(24, 24)))
-        once, span = masked(flow, BoundingBox(4, 4, 12, 12), [BoundingBox(10, 2, 8, 8)])
+        mag = np.hypot(rng.normal(size=(24, 24)), rng.normal(size=(24, 24)))
+        once, span = masked(mag, BoundingBox(4, 4, 12, 12), [BoundingBox(10, 2, 8, 8)])
         # the same boxes in the coordinates of the 12x12 span
         twice, _ = masked(once, BoundingBox(0, 0, 12, 12), [BoundingBox(6, -2, 8, 8)])
-        assert np.array_equal(once.dx, twice.dx)
-        assert np.array_equal(once.dy, twice.dy)
-        assert np.all(once.magnitude() <= np.hypot(flow.dx, flow.dy)[span] + 1e-15)
+        assert np.array_equal(once, twice)
+        assert np.all(once <= mag[span] + 1e-15)

@@ -7,12 +7,12 @@ import pytest
 
 from oracles import analyze_files, eval_files
 from wardflow.analytics import read_riker_csv
-from wardflow.boxes import BoundingBox
+from wardflow.boxes import BoundingBox, FrameDetections
 from wardflow.cli import main
 from wardflow.detect import blob_detect, parse_detections_jsonl
 from wardflow.evaluation import DEFAULT_IOU_THRESHOLDS
 from wardflow.frames import load_manifest, load_sequence
-from wardflow.pipeline import SessionConfig, analyze_session
+from wardflow.pipeline import SessionConfig, analyze_session, joined
 
 SCENARIO = {"duration": 10, "resolution": [64, 48], "noise_sigma_c": 0.2,
             "patient": {"keyframes": [{"t": 0, "box": [10, 10, 20, 26]},
@@ -65,11 +65,10 @@ def test_analyze_dets_files(session, tmp_path):
                      "--out", str(out)]) == 0
     manifest = load_manifest(session / "manifest.json")
     with pytest.warns(UserWarning, match=r"1 detection frames .* t=99\.5"):
-        report = analyze_session(load_sequence(manifest, session),
-                                 parse_detections_jsonl((session / "dets.jsonl").read_text(),
-                                                        (64, 48)),
-                                 SessionConfig(riker_window=3.0), read_riker_csv(RIKER),
-                                 timeline=manifest.frames)
+        report = analyze_session(
+            joined(load_sequence(manifest, session), manifest.frames,
+                   parse_detections_jsonl((session / "dets.jsonl").read_text(), (64, 48))),
+            SessionConfig(riker_window=3.0), read_riker_csv(RIKER))
     assert report.events and report.riker and report.gaps == list(GAP)
     files = written(out)
     assert len(files) == 5
@@ -82,9 +81,9 @@ def test_analyze_blob_files(session, tmp_path):
                  "--bed", "10,10,20,26", "--out", str(out)]) == 0
     manifest = load_manifest(session / "manifest.json")
     bed = BoundingBox(10, 10, 20, 26)
-    report = analyze_session(load_sequence(manifest, session),
-                             lambda frame: blob_detect(frame, 30.0, 25.0, bed),
-                             SessionConfig(), timeline=manifest.frames)
+    report = analyze_session(((frame, FrameDetections(frame.timestamp,
+                                                      blob_detect(frame, 30.0, 25.0, bed)))
+                              for frame in load_sequence(manifest, session)), SessionConfig())
     assert report.motion
     files = written(out)
     assert len(files) == 5

@@ -6,12 +6,13 @@ import pytest
 import wardflow.flow
 import wardflow.pipeline
 from oracles import motion_raw_full_frame
+from wardflow.analytics import RikerRecord
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass
 from wardflow.detect import blob_detect
 from wardflow.evaluation import counting_accuracy
 from wardflow.flow import estimate_flow, expand_pyramid
 from wardflow.frames import auto_window, normalize_to_gray, write_npy_frame
-from wardflow.pipeline import FLOW, SessionConfig, analyze_session
+from wardflow.pipeline import FLOW, SessionConfig, analyze_session, joined
 from wardflow.synth import (ActorScript, Keyframe, Scenario, export_session,
                             render, scenario_from_dict)
 
@@ -124,7 +125,7 @@ class TestClosedLoop:
         scenario = self.make_scenario()
         _, truth = render(scenario, seed=0)
         frames, _ = render(scenario, seed=0)
-        report = analyze_session(frames, truth.frames, SessionConfig(),
+        report = analyze_session(joined(frames, frames, truth.frames), SessionConfig(),
                                  compute_motion=False)
         assert report.per_second_worker_counts == truth.worker_counts
         assert report.nursing_time_s == sum(truth.worker_counts)
@@ -190,7 +191,7 @@ class TestMotionEngine:
                             counted("flow", wardflow.pipeline.estimate_flow))
         monkeypatch.setattr(wardflow.flow, "poly_expand",
                             counted("expand", wardflow.flow.poly_expand))
-        report = analyze_session(frames, dets, config)
+        report = analyze_session(zip(frames, dets, strict=True), config)
 
         assert [s.gap for s in report.motion] == [k in self.GAPS for k in range(1, 10)]
         for k, sample in enumerate(report.motion, start=1):
@@ -201,6 +202,21 @@ class TestMotionEngine:
         assert len(frames_used) == 9  # frame 3 sits between two gap pairs
         assert calls["expand"] == FLOW.pyramid_levels * len(frames_used)
 
+
+    def test_list_and_one_pass_stream_give_one_report(self):
+        # the session is read once: a list of pairs, which could be read
+        # again, counts each frame once, as a generator must
+        frames, dets = self.make_session()
+        pairs = list(zip(frames, dets))
+        riker = [RikerRecord(4.0, 3), RikerRecord(8.0, 5)]
+        for compute_motion in (True, False):
+            from_list = analyze_session(pairs, SessionConfig(), riker, compute_motion)
+            from_stream = analyze_session((pair for pair in pairs), SessionConfig(), riker,
+                                          compute_motion)
+            assert from_list == from_stream
+            assert len(from_list.per_second_worker_counts) == len(frames)
+            assert len(from_list.motion) == (len(frames) - 1 if compute_motion else 0)
+            assert bool(from_list.riker) == compute_motion
 
     def test_patient_outside_the_frame_runs_no_flow(self, monkeypatch):
         # a patient box with no pixel in the 64x48 frame gives the motion
@@ -217,7 +233,7 @@ class TestMotionEngine:
                 dropped.append(fd)
             moved.append(fd)
         config = SessionConfig()
-        reference = analyze_session(frames, dropped, config)
+        reference = analyze_session(zip(frames, dropped, strict=True), config)
 
         calls = []
         flow = wardflow.pipeline.estimate_flow
@@ -227,7 +243,7 @@ class TestMotionEngine:
             return flow(*args)
 
         monkeypatch.setattr(wardflow.pipeline, "estimate_flow", counted)
-        report = analyze_session(frames, moved, config)
+        report = analyze_session(zip(frames, moved, strict=True), config)
         assert report.motion == reference.motion
         assert [s.gap for s in report.motion] == [k in self.GAPS | outside for k in range(1, 10)]
         assert len(calls) == 9 - len(self.GAPS | outside)
