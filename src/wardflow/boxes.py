@@ -130,15 +130,24 @@ def time_key(t: float) -> int:
     return round(t / 1e-6)
 
 
+def parse_number(value) -> float:
+    """A number read from a JSON input file: an int or a float, so a bool
+    or a string such as "2" is not read as one.  ValueError otherwise
+    (OverflowError for an integer beyond a float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_time(value) -> float:
     """A timestamp read from an input file: a finite, non-negative number
     of seconds that `time_key` can key.  ValueError otherwise."""
     try:
-        t = float(value)
+        t = parse_number(value)
         if math.isfinite(t) and t >= 0:
             time_key(t)  # OverflowError where the microsecond key would be infinite
             return t
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         pass
     raise ValueError(f"timestamp must be finite, non-negative and small enough to join on, "
                      f"got {value!r}")
@@ -148,10 +157,9 @@ def parse_box(value) -> BoundingBox:
     """A box read from an input file: a JSON array of four numbers
     [x, y, w, h].  ValueError otherwise, so a string such as "1234" is not
     read as its characters (OverflowError for an integer beyond a float)."""
-    if not (isinstance(value, list) and len(value) == 4 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if not (isinstance(value, list) and len(value) == 4):
         raise ValueError(f"box must be an array of four numbers [x, y, w, h], got {value!r}")
-    return BoundingBox(*map(float, value))
+    return BoundingBox(*map(parse_number, value))
 
 
 def match_detections(timeline: Sequence, dets: list[FrameDetections]) -> list[FrameDetections]:

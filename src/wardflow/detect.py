@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from .boxes import (BoundingBox, Detection, FrameDetections, ObjectClass, parse_box,
-                    parse_time, time_key)
+                    parse_number, parse_time, time_key)
 from .errors import FormatError
 from .frames import ThermalFrame
 
@@ -66,7 +66,7 @@ def parse_detections_jsonl(text: str,
             if cls is None:
                 raise FormatError(f"unknown class {name!r}", line=lineno)
             try:
-                conf = float(d.get("conf", 1.0))
+                conf = parse_number(d.get("conf", 1.0))
                 box = parse_box(d["box"])
                 det = Detection(box, cls, conf)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:

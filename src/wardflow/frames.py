@@ -1,5 +1,5 @@
-"""Thermal frame I/O: a minimal NPY reader/writer, grayscale normalization,
-and the sequence manifest that carries per-frame timestamps.
+"""Thermal frame I/O: a strict NPY reader, numpy's own NPY writer, grayscale
+normalization, and the sequence manifest that carries per-frame timestamps.
 
 Only a strict NPY subset is supported: version 1.0, C-order, 2-D
 little-endian float32/float64, with the header written as numpy writes
@@ -8,17 +8,17 @@ it. Everything else is rejected rather than guessed at.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
-import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .boxes import parse_time
+from .boxes import parse_number, parse_time, time_key
 from .errors import FormatError, UnsupportedError, ValidationError
 
 NPY_MAGIC = b"\x93NUMPY"
@@ -73,8 +73,7 @@ def read_npy_frame(data: bytes, timestamp: float = 0.0) -> ThermalFrame:
     major, minor = data[6], data[7]
     if (major, minor) != (1, 0):
         raise UnsupportedError(f"NPY version {major}.{minor} not supported (need 1.0)")
-    (header_len,) = struct.unpack("<H", data[8:10])
-    header_end = 10 + header_len
+    header_end = 10 + int.from_bytes(data[8:10], "little")
     if len(data) < header_end:
         raise FormatError("truncated NPY header")
     header = _NPY_HEADER.fullmatch(data[10:header_end].decode("latin1"))
@@ -99,22 +98,12 @@ def read_npy_frame(data: bytes, timestamp: float = 0.0) -> ThermalFrame:
 
 
 def write_npy_frame(frame: ThermalFrame) -> bytes:
-    """Encode a frame in the same NPY subset; round-trips bit-exactly."""
-    header = (
-        f"{{'descr': '<f8', 'fortran_order': False, "
-        f"'shape': ({frame.height}, {frame.width}), }}"
-    )
-    # Pad so the payload starts on a 64-byte boundary, per the NPY spec.
-    base = len(NPY_MAGIC) + 2 + 2
-    pad = 64 - (base + len(header) + 1) % 64
-    header = header + " " * pad + "\n"
-    out = bytearray()
-    out += NPY_MAGIC
-    out += bytes([1, 0])
-    out += struct.pack("<H", len(header))
-    out += header.encode("latin1")
-    out += np.ascontiguousarray(frame.temps, dtype="<f8").tobytes()
-    return bytes(out)
+    """Encode a frame as numpy's own NPY v1.0 writer does (C-order <f8),
+    the subset `read_npy_frame` reads; round-trips bit-exactly."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.ascontiguousarray(frame.temps, dtype="<f8"),
+                              version=(1, 0))
+    return buf.getvalue()
 
 
 def normalize_to_gray(frame: ThermalFrame, lo: float, hi: float) -> np.ndarray:
@@ -166,9 +155,11 @@ class SequenceManifest:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")
-        times = [f.timestamp for f in self.frames]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError("frame timestamps must be strictly increasing")
+        # keyed as the detection join keys them, so no two frames share a line
+        keys = [time_key(f.timestamp) for f in self.frames]
+        if any(b <= a for a, b in zip(keys, keys[1:])):
+            raise ValidationError("frame timestamps must be strictly increasing "
+                                  "to the microsecond")
 
 
 def load_manifest(path) -> SequenceManifest:
@@ -184,8 +175,8 @@ def load_manifest(path) -> SequenceManifest:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad frame entry in manifest: {exc}") from exc
     try:
-        dt = float(doc.get("dt", 1.0))
-    except (TypeError, ValueError, OverflowError) as exc:
+        dt = parse_number(doc.get("dt", 1.0))
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"manifest dt must be a number: {exc}") from exc
     resolution = None
     if doc.get("resolution") is not None:

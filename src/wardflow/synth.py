@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytics import physical_interaction
 from .boxes import (BoundingBox, Detection, FrameDetections, ObjectClass, parse_box,
-                    pixel_span)
+                    parse_number, pixel_span)
 from .detect import detections_to_jsonl
 from .errors import FormatError
 from .frames import (FrameEntry, SequenceManifest, ThermalFrame, check_resolution,
@@ -105,23 +105,23 @@ class GroundTruthBundle:
 
 
 def _script_from_dict(doc: dict) -> ActorScript:
-    keyframes = [Keyframe(float(k["t"]), parse_box(k["box"]))
+    keyframes = [Keyframe(parse_number(k["t"]), parse_box(k["box"]))
                  for k in doc["keyframes"]]
     return ActorScript(keyframes,
-                       enter=float(doc.get("enter", 0.0)),
-                       exit=float(doc.get("exit", math.inf)))
+                       enter=parse_number(doc.get("enter", 0.0)),
+                       exit=parse_number(doc.get("exit", math.inf)))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         return Scenario(
-            duration=float(doc["duration"]),
+            duration=parse_number(doc["duration"]),
             patient=_script_from_dict(doc["patient"]),
             workers=[_script_from_dict(w) for w in doc.get("workers", [])],
             resolution=tuple(doc.get("resolution", (384, 288))),
-            background_c=float(doc.get("background_c", 22.0)),
-            body_c=float(doc.get("body_c", 36.0)),
-            noise_sigma_c=float(doc.get("noise_sigma_c", 0.1)),
+            background_c=parse_number(doc.get("background_c", 22.0)),
+            body_c=parse_number(doc.get("body_c", 36.0)),
+            noise_sigma_c=parse_number(doc.get("noise_sigma_c", 0.1)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad scenario: {exc}") from exc

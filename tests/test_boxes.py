@@ -6,7 +6,7 @@ import pytest
 from oracles import raster_mask
 from wardflow.boxes import (BoundingBox, Detection, FrameDetections,
                             ObjectClass, area, intersection_area, iou,
-                            match_detections, pixel_span, time_key)
+                            match_detections, parse_number, pixel_span, time_key)
 
 
 def random_int_box(rng, grid=64, max_extent=32):
@@ -175,3 +175,19 @@ class TestMatchDetections:
         with pytest.warns(UserWarning, match=r"1 detection frames .* t=1\.0$"):
             (joined,) = match_detections([FrameDetections(1.0)], dets)
         assert joined is dets[1]
+
+
+class TestParseNumber:
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 1e308, float("inf"), float("nan")])
+    def test_json_numbers_read_as_floats(self, value):
+        got = parse_number(value)
+        assert type(got) is float and (got == value or math.isnan(value))
+
+    @pytest.mark.parametrize("value", [True, False, "2", "nan", None, [1], {"t": 1}])
+    def test_anything_else_is_a_value_error(self, value):
+        with pytest.raises(ValueError):
+            parse_number(value)
+
+    def test_integer_beyond_a_float_overflows(self):
+        with pytest.raises(OverflowError):
+            parse_number(10**400)

@@ -82,7 +82,14 @@ class TestSynth:
         {"workers": [{"enter": 2, "exit": float("nan"),
                       "keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}]},
         # a string is no box, though its four characters read as digits
-        {"patient": {"keyframes": [{"t": 0, "box": "1234"}]}}])
+        {"patient": {"keyframes": [{"t": 0, "box": "1234"}]}},
+        # a string or a bool is no number, though float() reads one
+        {"duration": "8"}, {"body_c": "36"}, {"background_c": "22"}, {"noise_sigma_c": False},
+        {"patient": {"keyframes": [{"t": True, "box": [10, 20, 24, 30]}]}},
+        {"workers": [{"enter": "2", "exit": 6,
+                      "keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}]},
+        {"workers": [{"enter": 0, "exit": True,
+                      "keyframes": [{"t": 0, "box": [30, 20, 16, 30]}]}]}])
     def test_malformed_scenario_exit_3(self, tmp_path, change):
         # a declared value is honoured or rejected: a NaN or negative noise
         # is not rendered as no noise, an infinite last keyframe is not
@@ -210,7 +217,7 @@ class TestAnalyze:
                      "--out", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("dt", [None, [1], "abc", float("nan"), float("inf")])
+    @pytest.mark.parametrize("dt", [None, [1], "abc", float("nan"), float("inf"), "2", True])
     def test_malformed_manifest_dt_exit_3(self, session, tmp_path, dt):
         doc = json.loads((session / "manifest.json").read_text())
         doc["dt"] = dt
@@ -229,7 +236,7 @@ class TestAnalyze:
                      str(session / "truth_dets.jsonl"), "--out", str(tmp_path / "o")]) == 4
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("t", [float("nan"), "nan", float("inf"), -1.0, 1e308])
+    @pytest.mark.parametrize("t", [float("nan"), "nan", float("inf"), -1.0, 1e308, "7"])
     @pytest.mark.parametrize("source", ["dets", "blob"])
     def test_malformed_manifest_time_exit_3(self, session, tmp_path, t, source):
         doc = json.loads((session / "manifest.json").read_text())
@@ -239,6 +246,20 @@ class TestAnalyze:
         detector = ["--dets", str(session / "truth_dets.jsonl")] if source == "dets" else ["--blob"]
         assert main(["analyze", "--manifest", str(manifest), *detector,
                      "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+
+    def test_frames_sharing_a_time_key_exit_3(self, session, tmp_path):
+        # 1.0 and 1.0000001 are one microsecond key, so the one worker line
+        # at t=1 would count for both frames
+        doc = json.loads((session / "manifest.json").read_text())
+        doc["frames"] = doc["frames"][:3]
+        doc["frames"][2]["t"] = 1.0000001
+        manifest = session / "bad_manifest.json"
+        manifest.write_text(json.dumps(doc))
+        dets = tmp_path / "one.jsonl"
+        dets.write_text('{"t": 1, "dets": [{"cls": "worker", "box": [30, 20, 16, 30]}]}\n')
+        assert main(["analyze", "--manifest", str(manifest), "--dets", str(dets),
+                     "--no-motion", "--out", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
     def test_riker_groups_in_report(self, session, tmp_path):
@@ -325,11 +346,15 @@ class TestAnalyze:
                   {"cls": "worker", "box": [0, 0, 20, 20]}]},
         {"dets": [{"cls": "worker", "box": "1234"}]},                 # not four digits
         {"dets": [{"cls": "worker", "box": [True, 2, 3, 4]}]},        # a bool is no number
+        {"t": True}, {"t": "1"},                                      # nor is a string
+        {"dets": [{"cls": "worker", "conf": "0.9", "box": [4, 4, 5, 5]}]},
+        {"dets": [{"cls": "worker", "conf": True, "box": [4, 4, 5, 5]}]},
     ])
     def test_malformed_detection_exit_3(self, session, tmp_path, change):
-        # each of these ended in a traceback before
+        # each of these ended in a traceback, or was read as a number, before;
+        # the line edited is t=1, so a true read as 1 repeats no time
         lines = (session / "truth_dets.jsonl").read_text().splitlines()
-        lines[2] = json.dumps({**json.loads(lines[2]), **change})
+        lines[1] = json.dumps({**json.loads(lines[1]), **change})
         dets = tmp_path / "bad.jsonl"
         dets.write_text("\n".join(lines) + "\n")
         assert main(["analyze", "--manifest", str(session / "manifest.json"),

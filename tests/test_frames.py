@@ -91,8 +91,24 @@ class TestReadNpyFrame:
             again = read_npy_frame(write_npy_frame(ThermalFrame(temps)))
             assert np.array_equal(again.temps, temps)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 100_000), (100_000, 1), (288, 384),
+                                       (72, 96), (1, 7), (7, 1), (10, 10), (999, 1001)])
+    def test_writes_the_reference_bytes(self, shape):
+        # numpy writes the frames; this holds its writer to the layout the
+        # strict reader parses, whatever order or width the grid came in
+        temps = np.random.default_rng(sum(shape)).uniform(-20.0, 120.0, size=shape)
+        for grid in (temps, np.asfortranarray(temps), temps.astype(np.float32)):
+            frame = ThermalFrame(grid)
+            assert write_npy_frame(frame) == npy_bytes(frame.temps)
+
+    def test_writes_the_reference_bytes_for_random_shapes(self):
+        rng = np.random.default_rng(20)
+        for shape in rng.integers(1, 600, size=(8, 2)):
+            frame = ThermalFrame(rng.uniform(15.0, 40.0, size=tuple(shape)))
+            assert write_npy_frame(frame) == npy_bytes(frame.temps)
+
     def test_roundtrip_against_numpy_reference(self):
-        # Our subset writer must produce files numpy itself can read.
+        # Written frames must load with numpy's own reader too.
         import io
         temps = np.random.default_rng(1).uniform(18, 39, size=(6, 8))
         data = write_npy_frame(ThermalFrame(temps))
@@ -168,6 +184,18 @@ class TestManifest:
     def test_timestamps_must_increase(self):
         with pytest.raises(ValidationError):
             SequenceManifest([FrameEntry("a.npy", 1.0), FrameEntry("b.npy", 1.0)])
+        # to the microsecond the detection join keys them on, so two frames
+        # never both count one detection line
+        with pytest.raises(ValidationError):
+            SequenceManifest([FrameEntry("a.npy", 1.0), FrameEntry("b.npy", 1.0000001)])
+        SequenceManifest([FrameEntry("a.npy", 1.0), FrameEntry("b.npy", 1.000001)])
+
+    @pytest.mark.parametrize("t", ["1", True])
+    def test_frame_time_must_be_a_json_number(self, tmp_path, t):
+        doc = {"frames": [{"path": "a.npy", "t": 0.0}, {"path": "b.npy", "t": t}]}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_manifest(tmp_path / "m.json")
 
     def test_bad_json_is_format_error(self, tmp_path):
         (tmp_path / "m.json").write_text("{nope")
