@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +91,7 @@ def physical_interaction(patient: BoundingBox, worker: BoundingBox,
     return (1 if ratio >= tau else 0), ratio
 
 
-def interaction_time(series: list[FrameDetections], tau: float = 0.1,
+def interaction_time(series: Iterable[FrameDetections], tau: float = 0.1,
                      conf_min: float = 0.5) -> InteractionSummary:
     """Per-frame indicator of a patient/worker overlap above tau.
 

@@ -18,7 +18,7 @@ class ObjectClass(str, Enum):
     WORKER = "worker"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     x: float
     y: float
@@ -88,7 +88,7 @@ def pixel_span(b: BoundingBox, width: int, height: int) -> tuple[slice, slice] |
     return slice(r0, r1), slice(c0, c1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     box: BoundingBox
     cls: ObjectClass
@@ -99,7 +99,7 @@ class Detection:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameDetections:
     timestamp: float
     detections: list[Detection] = field(default_factory=list)
@@ -159,7 +159,9 @@ def parse_box(value) -> BoundingBox:
     read as its characters (OverflowError for an integer beyond a float)."""
     if not (isinstance(value, list) and len(value) == 4):
         raise ValueError(f"box must be an array of four numbers [x, y, w, h], got {value!r}")
-    return BoundingBox(*map(parse_number, value))
+    # a list, not `map`: arguments from an iterator of unknown length are a
+    # ten-slot tuple shrunk to four, which lands on CPython's free list
+    return BoundingBox(*[parse_number(v) for v in value])
 
 
 def match_detections(timeline: Sequence, dets: list[FrameDetections]) -> list[FrameDetections]:

@@ -25,6 +25,10 @@ _MIN_EIG = 1e-9
 # rows: 32 rows of a 384-wide frame, the fastest of a sweep at 288x384.
 _STRIP_PIXELS = 32 * 384
 
+# Region tuples are built from lists, not generators: `tuple()` over a
+# generator allocates ten slots and shrinks them, which leaves one more block
+# on CPython's free list of 2-tuples per call and so moves the traced peak.
+
 
 @dataclass(frozen=True)
 class FlowParams:
@@ -169,8 +173,8 @@ def _dependency_cones(shapes: list[tuple[int, int]], span: tuple[slice, slice],
         else:
             final = [(c.start * n // m - 1, -(-c.stop * n // m) + 1)
                      for c, n, m in zip(levels[-1][0], shape, shapes[k - 1])]
-        levels.append([tuple(slice(max(0, lo - j * reach), min(n, hi + j * reach))
-                             for (lo, hi), n in zip(final, shape))
+        levels.append([tuple([slice(max(0, lo - j * reach), min(n, hi + j * reach))
+                              for (lo, hi), n in zip(final, shape)])
                        for j in range(params.iterations, -1, -1)])
     return levels
 
@@ -256,7 +260,7 @@ def _update_flow(e1: PolyExpansion, e2: PolyExpansion, dx, dy, kernel: np.ndarra
     its edges that is not the level's, so the blurred terms there are those
     of the whole level.
     """
-    inner = tuple(slice(f.start - d.start, f.stop - d.start) for f, d in zip(final, domain))
+    inner = tuple([slice(f.start - d.start, f.stop - d.start) for f, d in zip(final, domain)])
     m11, m12, m22, h1, h2 = _blur(_normal_terms(e1, e2, dx, dy, domain), kernel, inner)
     dx, dy = dx[inner], dy[inner]
 
@@ -334,7 +338,7 @@ def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
     shapes = [e.a11.shape for e in next_pyr]
     domains = _dependency_cones(shapes, span, params)
     if len(prev_pyr) != len(shapes) or any(
-            e.a11.shape not in (shape, tuple(s.stop - s.start for s in steps[0]))
+            e.a11.shape not in (shape, tuple([s.stop - s.start for s in steps[0]]))
             for e, shape, steps in zip(prev_pyr, shapes, domains)):
         raise ValueError(f"first frame's levels {[e.a11.shape for e in prev_pyr]} are neither "
                          f"the second frame's {shapes} nor their cones")
@@ -351,7 +355,8 @@ def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
             up = _upsample(np.stack([dx, dy], -1), origin, level, shape, first)
             dx, dy = up[..., 0] * (shape[1] / level[1]), up[..., 1] * (shape[0] / level[0])
         for domain, final in zip(steps, steps[1:]):
-            local = tuple(slice(d.start - f.start, d.stop - f.start) for d, f in zip(domain, first))
+            local = tuple([slice(d.start - f.start, d.stop - f.start)
+                           for d, f in zip(domain, first)])
             dx, dy = _update_flow(PolyExpansion(cone[local]), e2, dx, dy, kernel, domain, final)
         coarser = shape, (steps[-1][0].start, steps[-1][1].start)
     return FlowField(dx, dy)
@@ -370,7 +375,7 @@ def mask_worker_regions(mag: np.ndarray, span: tuple[slice, slice],
         inner = pixel_span(worker, span[1].stop, span[0].stop)
         if inner is not None:
             # a worker wholly left of or above the span gives a stop of 0
-            local = tuple(slice(max(i.start - s.start, 0), max(i.stop - s.start, 0))
-                          for i, s in zip(inner, span))
+            local = tuple([slice(max(i.start - s.start, 0), max(i.stop - s.start, 0))
+                           for i, s in zip(inner, span)])
             mag[local] = 0.0
     return mag

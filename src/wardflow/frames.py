@@ -138,10 +138,14 @@ def check_resolution(value) -> tuple[int, int]:
     return w, h
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameEntry:
     path: str
     timestamp: float
+
+    def __post_init__(self):
+        if not isinstance(self.path, str):  # a JSON number, bool or null is no file name
+            raise TypeError(f"frame path must be a string, got {self.path!r}")
 
 
 @dataclass
@@ -171,7 +175,7 @@ def load_manifest(path) -> SequenceManifest:
     if not isinstance(doc, dict) or "frames" not in doc:
         raise FormatError("manifest must be an object with a 'frames' list")
     try:
-        frames = [FrameEntry(str(e["path"]), parse_time(e["t"])) for e in doc["frames"]]
+        frames = [FrameEntry(e["path"], parse_time(e["t"])) for e in doc["frames"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad frame entry in manifest: {exc}") from exc
     try:

@@ -79,10 +79,10 @@ def _settled(fn, *args) -> Future:
     return future
 
 
-def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]], config: SessionConfig
-                   ) -> tuple[list[FrameDetections], list[MotionSample]]:
-    """The detections read and the relaxed motion series over one pass of
-    (frame, detections).
+def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]], config: SessionConfig,
+                   motion: list[MotionSample]) -> Iterator[FrameDetections]:
+    """Each frame's detections of one pass of (frame, detections), handed
+    on as read, while the relaxed motion series is appended to `motion`.
 
     This thread decides each frame's patient span and builds each
     pyramid a pair needs once; a frame whose span is a gap builds none.
@@ -97,8 +97,6 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]], conf
     """
     size = os.cpu_count() or 1
     pending: deque[tuple[float, Future | None]] = deque()  # in frame order; None is a gap
-    per_frame: list[FrameDetections] = []
-    motion: list[MotionSample] = []
 
     def settle(limit: int) -> None:
         while len(pending) > limit:
@@ -112,7 +110,6 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]], conf
     with ThreadPoolExecutor(size) as pool:
         prev_frame = prev_pyr = window = None
         for k, (frame, fd) in enumerate(session):
-            per_frame.append(fd)
             if k == 1:
                 if min(prev_frame.temps.shape) < FLOW.poly_n:
                     raise ValueError(f"frames of shape {prev_frame.temps.shape} are smaller "
@@ -132,8 +129,8 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]], conf
                 pending.append((fd.timestamp, future))
                 prev_pyr = cur_pyr
             prev_frame = frame
+            yield fd
         settle(0)
-    return per_frame, motion
 
 
 def joined(frames: Iterable[ThermalFrame], timeline: Sequence,
@@ -152,8 +149,8 @@ def analyze_session(session: Iterable[tuple[ThermalFrame, FrameDetections]],
     """Run the full analytics over a session, reading each pair once.
 
     `session` is one pass of (frame, detections) pairs in time order, as
-    a list or a stream such as `joined` over `load_sequence`; no frame is
-    kept beyond the flow pairs in flight.
+    a list or a stream such as `joined` over `load_sequence`; no frame and
+    no detections are kept beyond the flow pairs in flight.
 
     The motion score is flow between consecutive normalized frames,
     masked to the current patient box with worker overlaps zeroed, and
@@ -166,21 +163,23 @@ def analyze_session(session: Iterable[tuple[ThermalFrame, FrameDetections]],
     per-second counts, flags and totals are `tally`'s.
     """
     config = config or SessionConfig()
-    if compute_motion:
-        per_frame, motion = _motion_series(session, config)
-    else:
-        per_frame, motion = [fd for _, fd in session], []
-    return replace(tally(per_frame, config), motion=motion,
+    motion: list[MotionSample] = []
+    dets = _motion_series(session, config, motion) if compute_motion else (fd for _, fd in session)
+    return replace(tally(dets, config), motion=motion,
                    riker=align_riker(motion, riker, config.riker_window) if riker else [])
 
 
-def tally(per_frame: list[FrameDetections], config: SessionConfig) -> SessionReport:
-    """The per-second rule over one detection series: worker counts,
-    interaction flags and events, patient gaps, and the nursing and
-    interaction seconds (counts and flags summed, times `dt`).  The
+def tally(series: Iterable[FrameDetections], config: SessionConfig) -> SessionReport:
+    """The per-second rule, in one pass over a detection series: worker
+    counts, interaction flags and events, patient gaps, and the nursing
+    and interaction seconds (counts and flags summed, times `dt`).  The
     report has no motion and no Riker groups."""
-    counts = [count_workers(fd, config.conf_min) for fd in per_frame]
-    summary = interaction_time(per_frame, config.tau, config.conf_min)
+    counts: list[int] = []
+    def counted():  # counts each frame as `interaction_time` reads it
+        for fd in series:
+            counts.append(count_workers(fd, config.conf_min))
+            yield fd
+    summary = interaction_time(counted(), config.tau, config.conf_min)
     return SessionReport(
         nursing_time_s=sum(counts) * config.dt,
         interaction_time_s=sum(summary.indicators) * config.dt,

@@ -14,6 +14,7 @@ import wardflow.cli
 import wardflow.evaluation
 import wardflow.frames
 import wardflow.pipeline
+from wardflow.boxes import FrameDetections
 from wardflow.cli import main
 from wardflow.detect import parse_detections_jsonl
 from wardflow.frames import load_manifest, load_sequence
@@ -241,6 +242,21 @@ class TestAnalyze:
     def test_malformed_manifest_time_exit_3(self, session, tmp_path, t, source):
         doc = json.loads((session / "manifest.json").read_text())
         doc["frames"][-1]["t"] = t
+        manifest = session / "bad_manifest.json"
+        manifest.write_text(json.dumps(doc))
+        detector = ["--dets", str(session / "truth_dets.jsonl")] if source == "dets" else ["--blob"]
+        assert main(["analyze", "--manifest", str(manifest), *detector,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path", [1, 1.0, True, None])
+    @pytest.mark.parametrize("source", ["dets", "blob"])
+    def test_malformed_manifest_path_exit_3(self, session, tmp_path, path, source):
+        # a frame path is a JSON string, even where a file bears the name
+        # that the value would print as
+        doc = json.loads((session / "manifest.json").read_text())
+        (session / str(path)).write_bytes((session / doc["frames"][-1]["path"]).read_bytes())
+        doc["frames"][-1]["path"] = path
         manifest = session / "bad_manifest.json"
         manifest.write_text(json.dumps(doc))
         detector = ["--dets", str(session / "truth_dets.jsonl")] if source == "dets" else ["--blob"]
@@ -527,6 +543,66 @@ class TestStreamingEngine:
                 assert alive[0] == alive[1], (path, size)
                 most = size if path == "pooled" else 1
                 assert alive[0][0] <= most and alive[0][1] <= 3, (path, size, alive[0])
+
+    def test_peak_memory_independent_of_free_lists(self, tmp_path, monkeypatch):
+        # tracemalloc counts the blocks CPython keeps on its free lists of
+        # small tuples, so a tuple shrunk on every pair, as `tuple()` over a
+        # generator is, would move the peak with how full those lists were
+        # when tracing began: by about 0.13 MB on this session
+        session = small_session(tmp_path, 60)
+        manifest = load_manifest(session / "manifest.json")
+        dets = parse_detections_jsonl((session / "dets.jsonl").read_text(), (64, 48))
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def peak(filled):
+            gc.collect()  # a full collection empties the free lists
+            if filled:
+                junk = [tuple(range(n)) for n in range(1, 6) for _ in range(2100)]
+                del junk
+            tracemalloc.start()
+            try:
+                analyze_session(joined(load_sequence(manifest, session), manifest.frames, dets),
+                                SessionConfig())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(False)  # fills the caches a first call makes
+        assert abs(peak(False) - peak(True)) < 64_000
+
+    def test_only_the_detections_in_flight_are_alive(self, tmp_path, monkeypatch):
+        # `tally` counts each frame's detections as they pass, so a session
+        # holds those of the pairs in flight, not those of every frame read
+        class Tracked(FrameDetections):
+            """Takes the weak reference that a slotted `FrameDetections` does not."""
+
+        sessions = {}
+        for frames, absent in ((60, ()), (600, range(60, 540))):
+            session = small_session(tmp_path, frames, absent=set(absent))
+            sessions[frames] = (session, load_manifest(session / "manifest.json"),
+                                parse_detections_jsonl((session / "dets.jsonl").read_text(),
+                                                       (64, 48)))
+
+        def peak(frames, compute_motion):
+            session, manifest, dets = sessions[frames]
+            live = LiveCount()
+            stream = ((frame, live.track(Tracked(fd.timestamp, fd.detections))) for frame, fd
+                      in joined(load_sequence(manifest, session), manifest.frames, dets))
+            report = analyze_session(stream, SessionConfig(), compute_motion=compute_motion)
+            assert len(report.per_second_worker_counts) == frames
+            return live.peak
+
+        # inline, the pool size changes nothing, so one size is run there
+        runs = {("no motion", 0): [peak(frames, False) for frames in sessions]}
+        for path, size in (("inline", 2), ("pooled", 2), ("pooled", 4)):
+            monkeypatch.setattr(wardflow.pipeline, "_POOL_MIN_PIXELS", PATHS[path])
+            monkeypatch.setattr(os, "cpu_count", lambda: size)
+            runs[path, size] = [peak(frames, True) for frames in sessions]
+        for (path, size), peaks in runs.items():
+            # the frame being read and the one `tally` last counted, plus on
+            # the pool one per pair in flight
+            assert peaks[0] == peaks[1], (path, size, peaks)
+            assert peaks[0] <= 2 + (size if path == "pooled" else 0), (path, size, peaks)
 
     def test_peeked_frame_is_freed_once_read(self, tmp_path):
         # the stream that reads the resolution off the first frame holds
