@@ -15,7 +15,7 @@ from .detect import blob_detect, parse_detections_jsonl
 from .errors import FormatError, UnsupportedError, ValidationError, WardflowError
 from .evaluation import (average_precision, counting_accuracy, format_duration,
                          mean_ap, time_error)
-from .flow import (FlowField, FlowParams, estimate_flow, expand_pyramid,
+from .flow import (FlowField, FlowParams, estimate_flow, image_pyramid,
                    magnitude_stats, mask_worker_regions, poly_expand)
 from .frames import (SequenceManifest, ThermalFrame, auto_window,
                      normalize_to_gray, read_npy_frame, write_npy_frame)
@@ -32,7 +32,7 @@ __all__ = [
     "UnsupportedError", "ValidationError", "WardflowError", "align_riker",
     "analyze_session", "area", "auto_window", "average_precision",
     "blob_detect", "count_workers", "counting_accuracy", "estimate_flow",
-    "expand_pyramid", "format_duration", "interaction_time",
+    "format_duration", "image_pyramid", "interaction_time",
     "intersection_area", "iou", "magnitude_stats", "mask_worker_regions",
     "mean_ap", "motion_step", "normalize_to_gray", "parse_detections_jsonl",
     "physical_interaction", "poly_expand", "read_npy_frame", "render",

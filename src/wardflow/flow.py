@@ -8,7 +8,8 @@ averaging window and refined coarse-to-fine over an image pyramid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -80,7 +81,12 @@ class PolyExpansion:
 
 
 def _as_image(frame) -> np.ndarray:
-    arr = np.asarray(frame, dtype=np.float64)
+    """`frame` as a 2-D uint8 or float64 array.  A uint8 image, as a gray
+    frame is, stays uint8: the filters read it as float64, exactly, in an
+    eighth of the bytes."""
+    arr = np.asarray(frame)
+    if arr.dtype != np.uint8:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D image")
     return arr
@@ -106,9 +112,11 @@ def _expansion_kernels(poly_n: int, poly_sigma: float) -> tuple[np.ndarray, ...]
     return arrays
 
 
-def poly_expand(frame, poly_n: int, poly_sigma: float) -> PolyExpansion:
+def poly_expand(frame, poly_n: int, poly_sigma: float,
+                region: tuple[slice, slice] | None = None) -> PolyExpansion:
     """Fit every pixel neighborhood to a quadratic in {1,x,y,x2,y2,xy},
-    keeping the five non-constant coefficients.
+    keeping the five non-constant coefficients; with `region`, a (rows,
+    cols) pair of non-empty slices inside the image, on its pixels only.
 
     Borders use edge replication.  The fit is exact for polynomial
     images up to degree two away from the borders.
@@ -118,28 +126,36 @@ def poly_expand(frame, poly_n: int, poly_sigma: float) -> PolyExpansion:
         raise ValueError(f"image {img.shape} smaller than expansion window {poly_n}")
     k0, k1, k2, ginv = _expansion_kernels(poly_n, poly_sigma)
 
-    # The level is expanded in strips of rows, each from its own rows plus
-    # the y-passes' reach (clipped at the image's edge, which replicates as
-    # the whole image does), so a strip's passes stay in cache.  The six
+    # The region is expanded in strips of rows, each from its own pixels
+    # plus the fit's reach on both axes (clipped at the image's edge, which
+    # replicates as the whole image does), so a region has the bits of the
+    # whole image there, and a strip's passes stay in cache.  The six
     # separable correlations need only three distinct y (axis-0) passes;
     # each is shared by the x (axis-1) passes that follow it.  Both sets of
     # passes write into one buffer each, reused by every strip.
     h, w = img.shape
-    rows = min(h, max(1, _STRIP_PIXELS // w))
+    (top, bottom), (left, right) = [(s.start, s.stop) for s in region or (slice(0, h), slice(0, w))]
     reach = poly_n // 2
-    ys = np.empty((3, min(h, rows + 2 * reach), w))
-    v = np.empty((rows, w, 6))
-    out = np.empty((h, w, 5))
-    for r0 in range(0, h, rows):
-        r1 = min(h, r0 + rows)
+    c0, c1 = max(0, left - reach), min(w, right + reach)
+    rows = min(bottom - top, max(1, _STRIP_PIXELS // (c1 - c0)))
+    ys = np.empty((3, min(h, rows + 2 * reach), c1 - c0))
+    v = np.empty((rows, c1 - c0, 6))
+    out = np.empty((bottom - top, right - left, 5))
+    for r0 in range(top, bottom, rows):
+        r1 = min(bottom, r0 + rows)
         lo, hi = max(0, r0 - reach), min(h, r1 + reach)
         for row, k in enumerate((k0, k1, k2)):
-            ndimage.correlate1d(img[lo:hi], k, axis=0, output=ys[row, :hi - lo], mode="nearest")
+            ndimage.correlate1d(img[lo:hi, c0:c1], k, axis=0, output=ys[row, :hi - lo],
+                                mode="nearest")
         strip = v[:r1 - r0]
         for i, (row, kx) in enumerate(((0, k0), (0, k1), (1, k0), (0, k2), (2, k0), (1, k1))):
             ndimage.correlate1d(ys[row, r0 - lo:r1 - lo], kx, axis=1, output=strip[..., i],
                                 mode="nearest")
-        np.matmul(strip, ginv.T, out=out[r0:r1])
+        fit = out[r0 - top:r1 - top]
+        if right - left > 1:
+            np.matmul(strip[:, left - c0:right - c0], ginv.T, out=fit)
+        else:  # numpy multiplies one column by BLAS's gemv, whose bits are not gemm's
+            fit[...] = np.matmul(strip, ginv.T)[:, left - c0:right - c0]
     return PolyExpansion(out)
 
 
@@ -179,15 +195,6 @@ def _dependency_cones(shapes: list[tuple[int, int]], span: tuple[slice, slice],
     return levels
 
 
-def cone_pyramid(pyramid: list[PolyExpansion], params: FlowParams,
-                 span: tuple[slice, slice]) -> list[PolyExpansion]:
-    """A copy of each level of `pyramid` on its first domain for `span`,
-    which is all `estimate_flow` reads of the pair's first frame, so the
-    whole levels can be freed."""
-    cones = _dependency_cones([e.a11.shape for e in pyramid], span, params)
-    return [PolyExpansion(e.planes[steps[0]].copy()) for e, steps in zip(pyramid, cones)]
-
-
 def _blur(arr: np.ndarray, kernel: np.ndarray, region: tuple[slice, slice]) -> np.ndarray:
     """Separable blur over the last two axes, so a stack blurs per plane,
     kept on `region` of them; rows are cropped between the passes."""
@@ -195,10 +202,14 @@ def _blur(arr: np.ndarray, kernel: np.ndarray, region: tuple[slice, slice]) -> n
     return ndimage.correlate1d(tmp, kernel, axis=-1, mode="nearest")[..., region[1]]
 
 
-def _warp(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Every plane of the rows x cols x k `planes` sampled at (`rows`,
-    `cols`), two arrays that broadcast to the samples' shape, with one set
-    of bilinear weights per sample; the planes stay on the last axis.
+def _warp(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+          origin: tuple[int, int] = (0, 0), level: tuple[int, int] | None = None) -> np.ndarray:
+    """Every plane of a rows x cols x k field sampled at (`rows`, `cols`),
+    two arrays that broadcast to the samples' shape, with one set of
+    bilinear weights per sample; the planes stay on the last axis.  The
+    field has `level` rows x cols, and `planes` is its part from pixel
+    `origin` on, which must hold every pixel the samples read; by default
+    `planes` is the whole field.
 
     Each plane has the bits `map_coordinates(plane, [rows, cols], order=1,
     mode="nearest")` gives it.  So, as there, an axis weighs its samples
@@ -209,10 +220,13 @@ def _warp(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     h, w, k = planes.shape
     flat = planes.reshape(h * w, k)
     axes = []
-    for c, n, stride in ((rows, h, w), (cols, w, 1)):
+    # a pixel's index in `flat` is its row times `w` plus its column less
+    # the origin's index, so that each axis costs one operation past the clamp
+    for c, n, index in zip((rows, cols), level or (h, w),
+                           (lambda i: i * w, lambda i: i - (origin[0] * w + origin[1]))):
         lo = np.floor(c)
         w0 = 1.0 - (c - lo)
-        axes.append([(np.minimum(np.maximum(i, 0), n - 1).astype(np.intp) * stride, wt[..., None])
+        axes.append([(index(np.minimum(np.maximum(i, 0), n - 1).astype(np.intp)), wt[..., None])
                      for i, wt in ((lo, w0), (lo + 1.0, 1.0 - w0))])
     out = np.zeros((*np.broadcast_shapes(rows.shape, cols.shape), k))
     corner = np.empty_like(out)
@@ -225,17 +239,46 @@ def _warp(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy,
+def _inside(region: tuple[slice, slice], box: tuple[slice, slice]) -> bool:
+    return all(b.start <= r.start and r.stop <= b.stop for r, b in zip(region, box))
+
+
+class _Growing:
+    """A pyramid level's expansion on the box its warps read.  A warp that
+    reads past the box first re-expands the level on the union of the box
+    and the pixels that warp reads."""
+
+    def __init__(self, level: np.ndarray, params: FlowParams):
+        self.level, self.params = level, params
+        self.box = self.expansion = None
+
+    def warp(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """`_warp` of the whole level's expansion at (`rows`, `cols`)."""
+        reads = tuple([slice(min(max(math.floor(c.min()), 0), n - 1),
+                             min(max(math.floor(c.max()) + 1, 0), n - 1) + 1)
+                       for c, n in zip((rows, cols), self.level.shape)])
+        if self.box is None or not _inside(reads, self.box):
+            if self.box is not None:
+                reads = tuple([slice(min(r.start, b.start), max(r.stop, b.stop))
+                               for r, b in zip(reads, self.box)])
+            self.box = reads
+            self.expansion = poly_expand(self.level, self.params.poly_n, self.params.poly_sigma,
+                                         reads)
+        return _warp(self.expansion.planes, rows, cols, (self.box[0].start, self.box[1].start),
+                     self.level.shape)
+
+
+def _normal_terms(e1: PolyExpansion, e2: _Growing, dx, dy,
                   domain: tuple[slice, slice]) -> np.ndarray:
     """Stacked terms of the normal equations of min ||A d - db||^2.
 
-    `dx`, `dy` and `e1` cover `domain` of the level; `e2` is the whole
-    level, read where the warp lands.  Kept apart from the blur so the
-    warped coefficients are freed first.
+    `dx`, `dy` and `e1` cover `domain` of the level; `e2` is read where
+    the warp lands.  Kept apart from the blur so the warped coefficients
+    are freed first.
     """
     rows = np.arange(domain[0].start, domain[0].stop, dtype=np.float64)[:, None] + dy
     cols = np.arange(domain[1].start, domain[1].stop, dtype=np.float64) + dx
-    warped = PolyExpansion(_warp(e2.planes, rows, cols))
+    warped = PolyExpansion(e2.warp(rows, cols))
     del rows, cols
     a11 = 0.5 * (e1.a11 + warped.a11)
     a12 = 0.25 * (e1.axy + warped.axy)  # half the mean xy term; exact, a power of two
@@ -252,7 +295,7 @@ def _normal_terms(e1: PolyExpansion, e2: PolyExpansion, dx, dy,
     ])
 
 
-def _update_flow(e1: PolyExpansion, e2: PolyExpansion, dx, dy, kernel: np.ndarray,
+def _update_flow(e1: PolyExpansion, e2: _Growing, dx, dy, kernel: np.ndarray,
                  domain: tuple[slice, slice], final: tuple[slice, slice]):
     """One update of the flow `dx`, `dy` over `domain`, returned on `final`.
 
@@ -291,17 +334,42 @@ def _upsample(planes: np.ndarray, origin: tuple[int, int], level: tuple[int, int
     - 0.5` on each axis, so they have its bits; `planes` must hold every
     pixel they read.
     """
-    rows, cols = ((np.arange(r.start, r.stop) + 0.5) * (n / m) - 0.5 - o
-                  for r, n, m, o in zip(region, level, shape, origin))
-    return _warp(planes, rows[:, None], cols)
+    rows, cols = ((np.arange(r.start, r.stop) + 0.5) * (n / m) - 0.5
+                  for r, n, m in zip(region, level, shape))
+    return _warp(planes, rows[:, None], cols, origin, level)
 
 
-def expand_pyramid(frame, params: FlowParams) -> list[PolyExpansion]:
-    """Polynomial expansion of every pyramid level of one frame, finest first.
+@dataclass(eq=False)
+class Pyramid:
+    """One frame's image pyramid, finest level first, as `image_pyramid`
+    builds it with `params`, and the expansions of its levels that the pair
+    which warped the frame left for the pair which reads it first
+    (`estimate_flow`): by level index, a (rows, cols) box and the level's
+    `poly_expand` there."""
 
-    This is how an image enters the flow: `estimate_flow` takes two of
-    these pyramids, so a frame is expanded once for both pairs it belongs
-    to.  Levels too small to hold the expansion window are dropped.
+    levels: list[np.ndarray]
+    params: FlowParams
+    expanded: dict[int, tuple[tuple[slice, slice], PolyExpansion]] = field(default_factory=dict)
+
+    def cone(self, k: int, region: tuple[slice, slice]) -> np.ndarray:
+        """The planes of level `k`'s expansion on `region`: cut from the
+        expansion left there, which this takes, where that covers `region`,
+        and expanded there otherwise."""
+        box, e = self.expanded.pop(k, (None, None))
+        if e is not None and _inside(region, box):
+            return e.planes[tuple([slice(r.start - b.start, r.stop - b.start)
+                                   for r, b in zip(region, box)])]
+        return poly_expand(self.levels[k], self.params.poly_n, self.params.poly_sigma,
+                           region).planes
+
+
+def image_pyramid(frame, params: FlowParams) -> Pyramid:
+    """The image pyramid of one frame, finest first: this is how an image
+    enters the flow, and `estimate_flow` takes two of them.
+
+    The finest level is the frame itself, as `_as_image` reads it, and each
+    coarser one is the level above it blurred and resized.  Levels too
+    small to hold the expansion window are dropped.
     """
     img = _as_image(frame)
     levels = [img]
@@ -311,43 +379,52 @@ def expand_pyramid(frame, params: FlowParams) -> list[PolyExpansion]:
                  max(1, round(img.shape[1] * params.pyramid_scale)))
         if min(shape) < params.poly_n:
             break
-        img = _resize(ndimage.gaussian_filter(img, sigma, mode="nearest"), shape)
+        img = _resize(ndimage.gaussian_filter(img, sigma, mode="nearest", output=np.float64),
+                      shape)
         levels.append(img)
-    return [poly_expand(level, params.poly_n, params.poly_sigma) for level in levels]
+    return Pyramid(levels, params)
 
 
-def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
-                  params: FlowParams, span: tuple[slice, slice]) -> FlowField:
+def estimate_flow(prev_pyr: Pyramid, next_pyr: Pyramid, params: FlowParams,
+                  span: tuple[slice, slice]) -> FlowField:
     """Displacement between two frames over the pixel `span`, coarse-to-fine from zero.
 
-    Each frame is its `expand_pyramid` result, built with `params`.  As
-    the first frame is read only on each level's first domain, its levels
-    may also be those domains alone (`cone_pyramid` for this `span`); a
-    level is told apart by its shape, and any other shape is rejected.
+    Each frame is its `image_pyramid`, built with `params`; pyramids built
+    with other settings, or of frames of another size, are rejected.
     `span` is a (rows, cols) pair of slices with integer bounds inside the
     frame, as `boxes.pixel_span` returns; the field covers exactly those
     pixels.  Each update runs only on its domain (`_dependency_cones`),
     which shrinks by the blur's reach, `window // 2` px, per update: an
-    update at a pixel reads `e1` there, `e2` where the warp lands (kept
-    whole) and the window blur.  A level's flow starts as the coarser
-    field carried up on its first domain alone (`_upsample`).  So the
-    field over `span` has the bits of the whole-frame field.
+    update at a pixel reads the first frame's expansion there, the second
+    frame's where the warp lands, and the window blur.  A level's flow
+    starts as the coarser field carried up on its first domain alone
+    (`_upsample`).  So the field over `span` has the bits of the
+    whole-frame field.
+
+    A level is expanded only where it is read, by `poly_expand` on a
+    region, which has the bits of the whole level's expansion there.  The
+    second frame's level is expanded on the box its warps read, grown when
+    a later warp reads past it (`_Growing`), and left on
+    `next_pyr.expanded` once the level is done, for the pair that reads
+    that frame first.  The first frame's level is read on its first domain
+    only (`Pyramid.cone`): cut from what the pair before left of it, where
+    that covers the domain, and expanded there otherwise.
     Ill-conditioned pixels keep the displacement they have (zero unless a
     coarser level set it), so the field is always fully populated.
     """
-    shapes = [e.a11.shape for e in next_pyr]
+    shapes = [level.shape for level in next_pyr.levels]
+    if prev_pyr.params != params or next_pyr.params != params or shapes != [
+            level.shape for level in prev_pyr.levels]:
+        raise ValueError(f"pyramids with levels {[level.shape for level in prev_pyr.levels]} and "
+                         f"{shapes} are not of one frame size, or not built with {params}")
     domains = _dependency_cones(shapes, span, params)
-    if len(prev_pyr) != len(shapes) or any(
-            e.a11.shape not in (shape, tuple([s.stop - s.start for s in steps[0]]))
-            for e, shape, steps in zip(prev_pyr, shapes, domains)):
-        raise ValueError(f"first frame's levels {[e.a11.shape for e in prev_pyr]} are neither "
-                         f"the second frame's {shapes} nor their cones")
-
     kernel = _gaussian_kernel(params.window)
     coarser = None  # the coarser level's shape and where its final flow starts
-    for e1, e2, steps in zip(reversed(prev_pyr), reversed(next_pyr), reversed(domains)):
-        shape, first = e2.a11.shape, steps[0]
-        cone = e1.planes[first] if e1.a11.shape == shape else e1.planes  # e1 on `first`
+    for k in reversed(range(len(shapes))):
+        shape, steps = shapes[k], domains[k]
+        first = steps[0]
+        cone = prev_pyr.cone(k, first)
+        e2 = _Growing(next_pyr.levels[k], params)
         if coarser is None:
             dx = dy = np.zeros(cone.shape[:2])
         else:
@@ -358,6 +435,7 @@ def estimate_flow(prev_pyr: list[PolyExpansion], next_pyr: list[PolyExpansion],
             local = tuple([slice(d.start - f.start, d.stop - f.start)
                            for d, f in zip(domain, first)])
             dx, dy = _update_flow(PolyExpansion(cone[local]), e2, dx, dy, kernel, domain, final)
+        next_pyr.expanded[k] = e2.box, e2.expansion
         coarser = shape, (steps[-1][0].start, steps[-1][1].start)
     return FlowField(dx, dy)
 

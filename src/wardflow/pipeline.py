@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from .analytics import (MotionSample, RikerRecord, SessionReport, align_riker,
                         count_workers, interaction_time, motion_step, relax)
 from .boxes import FrameDetections, match_detections, pixel_span
-from .flow import FlowParams, PolyExpansion, cone_pyramid, estimate_flow, expand_pyramid
+from .flow import FlowParams, Pyramid, estimate_flow, image_pyramid
 from .frames import ThermalFrame, auto_window, normalize_to_gray
 
 # The paper's Farneback settings, the only ones the motion score uses.
@@ -60,7 +60,7 @@ def _patient_span(fd: FrameDetections, shape: tuple[int, int],
     return pixel_span(clamped, shape[1], shape[0]) if clamped else None
 
 
-def pair_motion(prev_pyr: list[PolyExpansion], cur_pyr: list[PolyExpansion],
+def pair_motion(prev_pyr: Pyramid, cur_pyr: Pyramid,
                 fd: FrameDetections, span: tuple[slice, slice], config: SessionConfig) -> float:
     """Unrelaxed motion of one frame pair: magnitude mean + std of the flow
     over the current patient's pixel `span`, worker pixels zeroed.  It
@@ -84,11 +84,12 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]], conf
     """Each frame's detections of one pass of (frame, detections), handed
     on as read, while the relaxed motion series is appended to `motion`.
 
-    This thread decides each frame's patient span and builds each
-    pyramid a pair needs once; a frame whose span is a gap builds none.
-    Before the next frame's pyramid is built, the last one is cut to the
-    cone its next pair reads (`cone_pyramid`), so a whole pyramid lives
-    only until the pair that warps it is done.
+    This thread decides each frame's patient span and builds the image
+    pyramid of each frame a pair reads once; a frame whose span is a gap
+    builds none.  Each pair expands the levels of its two pyramids only
+    where it reads them, and leaves its second frame's expansions on that
+    frame's pyramid, where the next pair cuts its first frame's from them
+    (`estimate_flow`).
     The pairs run on a pool of `os.cpu_count()` threads, and their
     scalars are relaxed in frame order with at most that many samples,
     pairs or gaps, waiting.  On one core, or when the first frame has
@@ -105,7 +106,7 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]], conf
                                 None if future is None else future.result(), config.alpha))
 
     def pyramid(frame):
-        return expand_pyramid(normalize_to_gray(frame, *window), FLOW)
+        return image_pyramid(normalize_to_gray(frame, *window), FLOW)
 
     with ThreadPoolExecutor(size) as pool:
         prev_frame = prev_pyr = window = None
@@ -123,7 +124,7 @@ def _motion_series(session: Iterable[tuple[ThermalFrame, FrameDetections]], conf
                 span = _patient_span(fd, frame.temps.shape, config.conf_min)
                 cur_pyr = future = None
                 if span is not None:
-                    prev_pyr = cone_pyramid(prev_pyr or pyramid(prev_frame), FLOW, span)
+                    prev_pyr = prev_pyr or pyramid(prev_frame)
                     cur_pyr = pyramid(frame)
                     future = submit(pair_motion, prev_pyr, cur_pyr, fd, span, config)
                 pending.append((fd.timestamp, future))

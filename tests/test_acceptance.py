@@ -15,7 +15,7 @@ from wardflow.boxes import (BoundingBox, Detection, FrameDetections,
 from wardflow.cli import main
 from wardflow.evaluation import average_precision, format_duration, mean_ap, time_error
 from wardflow.analytics import motion_step, physical_interaction, relax
-from wardflow.flow import FlowField, FlowParams, estimate_flow, expand_pyramid, poly_expand
+from wardflow.flow import FlowField, FlowParams, estimate_flow, image_pyramid, poly_expand
 from wardflow.pipeline import SessionConfig, tally
 
 
@@ -99,7 +99,7 @@ def test_criterion_5_optical_flow():
     start = time.perf_counter()
     img0, _ = _shifted_pair(0, (0, 0))
     params = FlowParams()
-    pyr0 = expand_pyramid(img0, params)
+    pyr0 = image_pyramid(img0, params)
     whole = (slice(0, img0.shape[0]), slice(0, img0.shape[1]))
     assert estimate_flow(pyr0, pyr0, params, whole).magnitude().max() < 0.05
     central = (slice(8, 56), slice(8, 56))
@@ -110,7 +110,7 @@ def test_criterion_5_optical_flow():
     for seed in range(20):
         shift = shifts[seed % len(shifts)]
         img, moved = _shifted_pair(seed, shift)
-        flow = estimate_flow(expand_pyramid(img, params), expand_pyramid(moved, params), params,
+        flow = estimate_flow(image_pyramid(img, params), image_pyramid(moved, params), params,
                              whole)
         epe = float(np.hypot(flow.dx[central] - shift[0],
                              flow.dy[central] - shift[1]).mean())

@@ -13,7 +13,7 @@ from wardflow.boxes import (BoundingBox, Detection, FrameDetections, ObjectClass
                             intersection_area, pixel_span)
 from wardflow.cli import _analyze_files
 from wardflow.errors import FormatError
-from wardflow.flow import FlowField, PolyExpansion
+from wardflow.flow import FlowField
 from wardflow.frames import ThermalFrame
 from wardflow.pipeline import (SessionConfig, _patient_span, analyze_session, pair_motion,
                                tally)
@@ -198,8 +198,7 @@ def motion_of_known_flow(monkeypatch, flow, fd):
     span = _patient_span(fd, flow.dx.shape, config.conf_min)
     if span is None:
         return None, asked
-    pyr = [PolyExpansion(np.zeros((*flow.dx.shape, 5)))]  # never read: the flow is stubbed
-    return pair_motion(pyr, pyr, fd, span, config), asked
+    return pair_motion(None, None, fd, span, config), asked  # the stubbed flow reads no pyramid
 
 
 class TestMotionStep:
@@ -247,11 +246,11 @@ class TestMotionStep:
         # decided before any pyramid is built
         built = []
 
-        def counted(*args, fn=wardflow.pipeline.expand_pyramid):
+        def counted(*args, fn=wardflow.pipeline.image_pyramid):
             built.append(args)
             return fn(*args)
 
-        monkeypatch.setattr(wardflow.pipeline, "expand_pyramid", counted)
+        monkeypatch.setattr(wardflow.pipeline, "image_pyramid", counted)
         rng = np.random.default_rng(3)
         frames = [ThermalFrame(rng.uniform(20.0, 37.0, size=(12, 16)), float(t))
                   for t in range(6)]

@@ -7,10 +7,11 @@ import wardflow.pipeline
 from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
 from wardflow.flow import (FlowParams, _dependency_cones, _resize, _upsample, _warp,
-                           cone_pyramid, estimate_flow, expand_pyramid, magnitude_stats,
-                           mask_worker_regions, poly_expand)
+                           estimate_flow, image_pyramid, magnitude_stats, mask_worker_regions,
+                           poly_expand)
 from wardflow.frames import ThermalFrame
 from wardflow.pipeline import SessionConfig, analyze_session
+from wardflow.synth import ActorScript, Keyframe, Scenario, render
 
 
 def smooth_texture(seed, shape=(64, 64), sigma=3.0):
@@ -34,6 +35,21 @@ def whole(shape):
     return slice(0, shape[0]), slice(0, shape[1])
 
 
+@pytest.fixture
+def expansions(monkeypatch):
+    """Every `poly_expand` call the flow makes from now on, as (image,
+    region) pairs."""
+    calls = []
+    expand = wardflow.flow.poly_expand
+
+    def recorded(image, poly_n, poly_sigma, region=None):
+        calls.append((image, region))
+        return expand(image, poly_n, poly_sigma, region)
+
+    monkeypatch.setattr(wardflow.flow, "poly_expand", recorded)
+    return calls
+
+
 DEFAULT = FlowParams()
 
 
@@ -43,8 +59,8 @@ def expand(img):
 
 
 def flow_between(img, moved, params=DEFAULT):
-    """The whole-frame flow between two images, each expanded once as a pyramid."""
-    return estimate_flow(expand_pyramid(img, params), expand_pyramid(moved, params), params,
+    """The whole-frame flow between two images, each built once as a pyramid."""
+    return estimate_flow(image_pyramid(img, params), image_pyramid(moved, params), params,
                          whole(np.shape(img)))
 
 
@@ -105,13 +121,18 @@ class TestPolyExpand:
             expand(np.zeros((3, 10)))
 
     def test_levels_are_five_planes_of_one_buffer(self):
-        # a level holds exactly the planes the flow reads, with no copy
-        for level in expand_pyramid(smooth_texture(3, shape=(40, 52)), DEFAULT):
-            buffer = level.planes
-            assert list(vars(level)) == ["planes"]
-            assert buffer.dtype == np.float64 and buffer.shape == level.a11.shape + (5,)
-            planes = [level.a11, level.a22, level.axy, level.bx, level.by]
-            assert all(plane.base is buffer for plane in planes)
+        # an expanded level, or region of one, holds exactly the planes the
+        # flow reads, with no copy
+        for level in image_pyramid(smooth_texture(3, shape=(40, 52)), DEFAULT).levels:
+            for region in (None, (slice(1, 4), slice(2, 9))):
+                e = expand(level) if region is None else poly_expand(
+                    level, DEFAULT.poly_n, DEFAULT.poly_sigma, region)
+                buffer = e.planes
+                assert list(vars(e)) == ["planes"]
+                assert buffer.dtype == np.float64 and buffer.shape == e.a11.shape + (5,)
+                assert buffer.base is None  # no larger buffer kept alive behind it
+                planes = [e.a11, e.a22, e.axy, e.bx, e.by]
+                assert all(plane.base is buffer for plane in planes)
 
 
 class TestEstimateFlow:
@@ -174,17 +195,17 @@ class TestPyramidReuse:
         assert np.array_equal(flow.dy, ref_dy)
 
     def test_level_dropping(self):
-        assert len(expand_pyramid(np.zeros((64, 64)), DEFAULT)) == 3
-        assert len(expand_pyramid(np.zeros((18, 23)), DEFAULT)) == 2
-        assert len(expand_pyramid(np.zeros((9, 40)), DEFAULT)) == 1
+        assert len(image_pyramid(np.zeros((64, 64)), DEFAULT).levels) == 3
+        assert len(image_pyramid(np.zeros((18, 23)), DEFAULT).levels) == 2
+        assert len(image_pyramid(np.zeros((9, 40)), DEFAULT).levels) == 1
 
     def test_pyramid_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            estimate_flow(expand_pyramid(np.zeros((32, 32)), DEFAULT),
-                          expand_pyramid(np.zeros((32, 33)), DEFAULT), DEFAULT, whole((32, 32)))
+            estimate_flow(image_pyramid(np.zeros((32, 32)), DEFAULT),
+                          image_pyramid(np.zeros((32, 33)), DEFAULT), DEFAULT, whole((32, 32)))
         with pytest.raises(ValueError):  # pyramids built with different level counts
-            estimate_flow(expand_pyramid(np.zeros((32, 32)), DEFAULT),
-                          expand_pyramid(np.zeros((32, 32)), FlowParams(pyramid_levels=2)),
+            estimate_flow(image_pyramid(np.zeros((32, 32)), DEFAULT),
+                          image_pyramid(np.zeros((32, 32)), FlowParams(pyramid_levels=2)),
                           DEFAULT, whole((32, 32)))
 
 
@@ -226,9 +247,9 @@ class TestDependencyCone:
                                 iterations=int(rng.integers(1, 5)))
             a = smooth_texture(case, shape=shape, sigma=2.0)
             b = np.roll(a, tuple(rng.integers(-3, 4, size=2)), axis=(0, 1)) + rng.normal(size=shape)
-            prev_pyr, next_pyr = expand_pyramid(a, params), expand_pyramid(b, params)
+            prev_pyr, next_pyr = image_pyramid(a, params), image_pyramid(b, params)
             full = estimate_flow(prev_pyr, next_pyr, params, whole(shape))
-            shapes = [e.a11.shape for e in prev_pyr]
+            shapes = [level.shape for level in prev_pyr.levels]
             for span in self.spans(rng, shape, params):
                 flow = estimate_flow(prev_pyr, next_pyr, params, span)
                 assert flow.dx.shape == full.dx[span].shape
@@ -242,12 +263,12 @@ class TestDependencyCone:
         # coarse levels iterated whole
         assert inner_coarse_cones >= 50
 
-    def test_first_frame_cone_has_the_bits_of_its_pyramid(self):
-        # fed only the cone of its first frame's pyramid, the flow has the
-        # bits it has when fed the whole pyramid; a cone cut for another
-        # span, whose shape is neither a level's nor its cone's, is rejected
+    def test_first_frame_cone_has_the_bits_of_its_pyramid(self, expansions):
+        # the first frame's cone, cut from the expansions a pair left for
+        # another span where they cover it and expanded on its own where
+        # they do not, gives the bits the flow has with no expansions left
         rng = np.random.default_rng(31)
-        rejected = 0
+        cut = own = 0
         for case in range(20):
             shape = (int(rng.integers(10, 100)), int(rng.integers(10, 120)))
             params = FlowParams(pyramid_levels=int(rng.integers(1, 5)),
@@ -255,22 +276,130 @@ class TestDependencyCone:
                                 iterations=int(rng.integers(1, 5)))
             a = smooth_texture(case, shape=shape, sigma=2.0)
             b = np.roll(a, tuple(rng.integers(-3, 4, size=2)), axis=(0, 1)) + rng.normal(size=shape)
-            prev_pyr, next_pyr = expand_pyramid(a, params), expand_pyramid(b, params)
+            c = np.roll(b, tuple(rng.integers(-3, 4, size=2)), axis=(0, 1)) + rng.normal(size=shape)
             spans = self.spans(rng, shape, params)
             for span, other in zip(spans, spans[1:] + spans[:1]):
-                cone = cone_pyramid(prev_pyr, params, span)
+                prev_pyr, next_pyr = image_pyramid(b, params), image_pyramid(c, params)
                 full = estimate_flow(prev_pyr, next_pyr, params, span)
-                flow = estimate_flow(cone, next_pyr, params, span)
+                estimate_flow(image_pyramid(a, params), prev_pyr, params, other)
+                expansions.clear()
+                flow = estimate_flow(prev_pyr, next_pyr, params, span)
                 for got, want in ((flow.dx, full.dx), (flow.dy, full.dy)):
                     assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
                         (shape, params, span)
-                cut = cone_pyramid(prev_pyr, params, other)
-                if any(c.a11.shape not in (e.a11.shape, k.a11.shape)
-                       for c, e, k in zip(cut, next_pyr, cone)):
-                    with pytest.raises(ValueError):
-                        estimate_flow(cut, next_pyr, params, span)
-                    rejected += 1
-        assert rejected >= 50
+                cones = _dependency_cones([level.shape for level in prev_pyr.levels], span,
+                                          params)
+                for level, steps in zip(prev_pyr.levels, cones):
+                    regions = [region for image, region in expansions if image is level]
+                    assert regions in ([], [steps[0]])
+                    own += bool(regions)
+                    cut += not regions
+        assert cut >= 50 and own >= 50
+
+
+class TestRegionExpansion:
+    """A level is expanded only where the flow reads it, with the bits of
+    its whole expansion there."""
+
+    @staticmethod
+    def regions(rng, shape):
+        h, w = shape
+        r, c = int(rng.integers(0, h)), int(rng.integers(0, w))
+        rows, cols = (np.sort(rng.choice(n + 1, size=2, replace=False)) for n in shape)
+        return [whole(shape),
+                (slice(0, 1), slice(0, 1)), (slice(h - 1, h), slice(w - 1, w)),  # 1-px corners
+                (slice(0, 1), slice(w - 1, w)), (slice(h - 1, h), slice(0, 1)),
+                (slice(r, r + 1), slice(c, c + 1)),                              # 1 px inside
+                (slice(0, 2), slice(0, w)), (slice(0, h), slice(w - 2, w)),      # border strips
+                (slice(r, h), slice(0, c + 1)), (slice(0, r + 1), slice(c, w)),
+                (slice(int(rows[0]), int(rows[1])), slice(int(cols[0]), int(cols[1])))]
+
+    def test_region_has_the_bits_of_the_whole_level(self, monkeypatch):
+        # regions touching every border, 1-px regions and regions whose grown
+        # crop at an edge is narrower than poly_n, in one strip or in many
+        rng = np.random.default_rng(41)
+        shapes = [(5, 5), (5, 384), (300, 7), (6, 9), (13, 5), (37, 41), (72, 96)]
+        shapes += [tuple(int(n) for n in rng.integers(5, 90, size=2)) for _ in range(10)]
+        for shape in shapes:
+            gray = rng.integers(0, 256, shape).astype(np.uint8)
+            for img in (gray, rng.integers(-50, 300, shape).astype(np.float64),
+                        rng.uniform(-5e5, 5e5, shape),
+                        np.where(rng.random(shape) < 0.5, -0.0, 0.0)):
+                for poly_n, poly_sigma in ((5, 1.1), (7, 1.5)):
+                    if min(shape) < poly_n:
+                        continue
+                    monkeypatch.setattr(wardflow.flow, "_STRIP_PIXELS", 32 * 384)
+                    want = poly_expand(img.astype(np.float64), poly_n, poly_sigma).planes
+                    for region in self.regions(rng, shape):
+                        for strip in (32 * 384, 1, 3 * shape[1]):
+                            monkeypatch.setattr(wardflow.flow, "_STRIP_PIXELS", strip)
+                            got = poly_expand(img, poly_n, poly_sigma, region).planes
+                            assert np.array_equal(got.view(np.int64),
+                                                  want[region].view(np.int64)), \
+                                (shape, img.dtype, poly_n, region, strip)
+
+    def test_each_expansion_path_matches_the_oracle(self, expansions):
+        # pairs chained over four frames, each on spans that touch every
+        # border: every span's field has the bits of the whole-frame oracle
+        # there, while second frames' levels grow their boxes and first
+        # frames' cones are cut from what the pair before left or expanded
+        rng = np.random.default_rng(43)
+        grown = cut = own = 0
+        for case in range(12):
+            shape = (int(rng.integers(10, 70)), int(rng.integers(10, 80)))
+            params = FlowParams(pyramid_levels=int(rng.integers(1, 4)),
+                                window=int(rng.choice([5, 7, 9, 15])),
+                                iterations=int(rng.integers(1, 4)))
+            frames = [smooth_texture(case, shape=shape, sigma=2.0)]
+            for _ in range(3):
+                frames.append(np.roll(frames[-1], tuple(rng.integers(-4, 5, size=2)), axis=(0, 1))
+                              + rng.normal(size=shape))
+            pyramids = [image_pyramid(frame, params) for frame in frames]
+            spans = TestDependencyCone.spans(rng, shape, params)
+            for k in range(1, len(frames)):
+                ref_dx, ref_dy = flow_per_pair(frames[k - 1], frames[k], params)
+                handed = pyramids[k - 1].expanded  # what pair k - 1 left, for every span
+                for span in spans:
+                    pyramids[k - 1].expanded = dict(handed)
+                    expansions.clear()
+                    flow = estimate_flow(pyramids[k - 1], pyramids[k], params, span)
+                    for got, want in ((flow.dx, ref_dx[span]), (flow.dy, ref_dy[span])):
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                            (case, k, span)
+                    assert not pyramids[k - 1].expanded  # each level left was taken
+                    for j, level in enumerate(pyramids[k].levels):
+                        box, e = pyramids[k].expanded[j]
+                        regions = [region for image, region in expansions if image is level]
+                        assert regions[-1] == box and e.a11.shape == (box[0].stop - box[0].start,
+                                                                      box[1].stop - box[1].start)
+                        for small, large in zip(regions, regions[1:]):  # each the union so far
+                            assert all(a.start >= b.start and a.stop <= b.stop
+                                       for a, b in zip(small, large)) and small != large
+                        grown += len(regions) - 1
+                    for j, level in enumerate(pyramids[k - 1].levels):
+                        regions = [region for image, region in expansions if image is level]
+                        assert j in handed or regions, "a cone with nothing left was cut"
+                        own += bool(regions)
+                        cut += not regions
+        assert grown >= 10 and cut >= 10 and own >= 10, (grown, cut, own)
+
+    def test_hd_session_expands_no_whole_finest_level(self, expansions):
+        # a seeded 384x288 session whose patient jitters by up to 4 px a
+        # second, as perfbench's hd-motion does: the flow reads a part of
+        # each finest level, and expands no more
+        rng = np.random.default_rng(5)
+        keyframes = [Keyframe(float(t), BoundingBox(140 + rng.uniform(-4, 4),
+                                                    100 + rng.uniform(-4, 4), 60, 110))
+                     for t in range(8)]
+        worker = ActorScript([Keyframe(0.0, BoundingBox(185, 100, 40, 110))], enter=3.0)
+        scenario = Scenario(duration=8, patient=ActorScript(keyframes), workers=[worker],
+                            resolution=(384, 288), noise_sigma_c=0.1)
+        frames, truth = render(scenario, seed=5)
+        report = analyze_session(zip(frames, truth.frames, strict=True), SessionConfig())
+        assert not any(s.gap for s in report.motion)
+        finest = [region for image, region in expansions if image.shape == (288, 384)]
+        assert len(finest) >= 2 * len(report.motion)  # each pair's second frame and a cone
+        assert all(region is not None and region != whole((288, 384)) for region in finest)
 
 
 class TestConeUpsample:
@@ -398,7 +527,7 @@ class TestIterationDomains:
                             lambda length: kernels.append(length) or kernel(length))
         a = smooth_texture(4, shape=self.SHAPE, sigma=2.0)
         b = np.roll(a, (1, -2), axis=(0, 1))
-        prev_pyr, next_pyr = expand_pyramid(a, DEFAULT), expand_pyramid(b, DEFAULT)
+        prev_pyr, next_pyr = image_pyramid(a, DEFAULT), image_pyramid(b, DEFAULT)
         monkeypatch.setattr(wardflow.flow, "_resize", no_resize)
         flow = estimate_flow(prev_pyr, next_pyr, DEFAULT, span)
         assert flow.dx.shape == flow.dy.shape == calls[-1][1]

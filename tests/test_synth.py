@@ -10,9 +10,9 @@ from wardflow.analytics import RikerRecord
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass
 from wardflow.detect import blob_detect
 from wardflow.evaluation import counting_accuracy
-from wardflow.flow import estimate_flow, expand_pyramid
+from wardflow.flow import _dependency_cones, _inside, estimate_flow, image_pyramid
 from wardflow.frames import auto_window, normalize_to_gray, write_npy_frame
-from wardflow.pipeline import FLOW, SessionConfig, analyze_session, joined
+from wardflow.pipeline import FLOW, SessionConfig, _patient_span, analyze_session, joined
 from wardflow.synth import (ActorScript, Keyframe, Scenario, export_session,
                             render, scenario_from_dict)
 
@@ -164,11 +164,11 @@ class TestMotionEngine:
                 for k, fd in enumerate(truth.frames)]
         return frames, dets
 
-    def test_skips_gap_pairs_and_expands_each_frame_once(self, monkeypatch):
+    def test_skips_gap_pairs_and_builds_each_pyramid_once(self, monkeypatch):
         frames, dets = self.make_session()
         config = SessionConfig()
         window = auto_window(frames[0])
-        pyramids = [expand_pyramid(normalize_to_gray(f, *window), FLOW) for f in frames]
+        pyramids = [image_pyramid(normalize_to_gray(f, *window), FLOW) for f in frames]
         whole = (slice(0, frames[0].height), slice(0, frames[0].width))
         expected = {}
         for k in range(1, len(frames)):
@@ -179,29 +179,63 @@ class TestMotionEngine:
                 patient = dets[k].best_patient(config.conf_min).box
                 expected[k] = motion_raw_full_frame(flow, patient, workers)
 
-        calls = {"flow": 0, "expand": 0}
+        flows, built, expanded = [], [], []  # expanded: (image, region) per expansion
+        boxes = {}  # id of a second frame's pyramid -> the boxes its pair left
+        flow, pyramid, expand = (wardflow.pipeline.estimate_flow, wardflow.pipeline.image_pyramid,
+                                 wardflow.flow.poly_expand)
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def flowed(prev_pyr, cur_pyr, *args):
+            flows.append(args)
+            field = flow(prev_pyr, cur_pyr, *args)
+            boxes[id(cur_pyr)] = [box for _, (box, _) in sorted(cur_pyr.expanded.items())]
+            return field
 
-        monkeypatch.setattr(wardflow.pipeline, "estimate_flow",
-                            counted("flow", wardflow.pipeline.estimate_flow))
-        monkeypatch.setattr(wardflow.flow, "poly_expand",
-                            counted("expand", wardflow.flow.poly_expand))
+        monkeypatch.setattr(wardflow.pipeline, "estimate_flow", flowed)
+        monkeypatch.setattr(wardflow.pipeline, "image_pyramid",
+                            lambda *args: built.append(pyramid(*args)) or built[-1])
+
+        def recorded(image, poly_n, poly_sigma, region):
+            expanded.append((image, region))
+            return expand(image, poly_n, poly_sigma, region)
+
+        monkeypatch.setattr(wardflow.flow, "poly_expand", recorded)
         report = analyze_session(zip(frames, dets, strict=True), config)
 
         assert [s.gap for s in report.motion] == [k in self.GAPS for k in range(1, 10)]
         for k, sample in enumerate(report.motion, start=1):
             if not sample.gap:
                 assert sample.raw == expected[k]
-        assert calls["flow"] == len(expected)
-        frames_used = {j for k in expected for j in (k - 1, k)}
+        assert len(flows) == len(expected)
+        frames_used = sorted({j for k in expected for j in (k - 1, k)})
         assert len(frames_used) == 9  # frame 3 sits between two gap pairs
-        assert calls["expand"] == FLOW.pyramid_levels * len(frames_used)
+        assert len(built) == len(frames_used)  # each frame's pyramid is built once
 
+        # A frame no pair warped has each level expanded once, on its cone.
+        # A frame pair k warped has each level expanded on the boxes its
+        # warps read, each the union of the last and a new read; pair k + 1
+        # cuts its cone from the last box, or expands the cone where that
+        # box does not cover it.
+        shapes = [level.shape for level in built[0].levels]
+        cut = own = 0
+        for j, pyr in zip(frames_used, built):
+            cones = [None] * len(shapes)  # the cones of the pair that reads frame j first
+            if j + 1 in expected:
+                span = _patient_span(dets[j + 1], shapes[0], config.conf_min)
+                cones = _dependency_cones(shapes, span, FLOW)
+            for k, (level, steps) in enumerate(zip(pyr.levels, cones)):
+                regions = [region for image, region in expanded if image is level]
+                if j not in expected:
+                    assert regions == [steps[0]], (j, k)
+                    continue
+                box = boxes[id(pyr)][k]
+                if steps is not None and not _inside(steps[0], box):
+                    assert regions.pop() == steps[0], (j, k)
+                    own += 1
+                else:
+                    cut += steps is not None
+                assert regions[-1] == box, (j, k)
+                assert all(_inside(a, b) and a != b for a, b in zip(regions, regions[1:])), (j, k)
+        assert cut >= 1 and own >= 1, (cut, own)
 
     def test_list_and_one_pass_stream_give_one_report(self):
         # the session is read once: a list of pairs, which could be read
