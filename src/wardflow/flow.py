@@ -66,20 +66,6 @@ class FlowField:
         return np.hypot(self.dx, self.dy)
 
 
-@dataclass
-class PolyExpansion:
-    """The quadratic-fit coefficients the flow reads, per pixel, as the
-    planes of one rows x cols x 5 buffer.  The constant term is not kept."""
-
-    planes: np.ndarray  # bx, by, a11, a22, axy along the last axis
-
-    bx = property(lambda self: self.planes[..., 0])
-    by = property(lambda self: self.planes[..., 1])
-    a11 = property(lambda self: self.planes[..., 2])  # x^2 coefficient
-    a22 = property(lambda self: self.planes[..., 3])  # y^2 coefficient
-    axy = property(lambda self: self.planes[..., 4])  # xy coefficient, twice A's off-diagonal
-
-
 def _as_image(frame) -> np.ndarray:
     """`frame` as a 2-D uint8 or float64 array.  A uint8 image, as a gray
     frame is, stays uint8: the filters read it as float64, exactly, in an
@@ -113,10 +99,12 @@ def _expansion_kernels(poly_n: int, poly_sigma: float) -> tuple[np.ndarray, ...]
 
 
 def poly_expand(frame, poly_n: int, poly_sigma: float,
-                region: tuple[slice, slice] | None = None) -> PolyExpansion:
+                region: tuple[slice, slice] | None = None) -> np.ndarray:
     """Fit every pixel neighborhood to a quadratic in {1,x,y,x2,y2,xy},
-    keeping the five non-constant coefficients; with `region`, a (rows,
-    cols) pair of non-empty slices inside the image, on its pixels only.
+    keeping the five non-constant coefficients as the planes of one
+    rows x cols x 5 array, in the order `_normal_terms` names; with
+    `region`, a (rows, cols) pair of non-empty slices inside the image, on
+    its pixels only.
 
     Borders use edge replication.  The fit is exact for polynomial
     images up to degree two away from the borders.
@@ -156,7 +144,7 @@ def poly_expand(frame, poly_n: int, poly_sigma: float,
             np.matmul(strip[:, left - c0:right - c0], ginv.T, out=fit)
         else:  # numpy multiplies one column by BLAS's gemv, whose bits are not gemm's
             fit[...] = np.matmul(strip, ginv.T)[:, left - c0:right - c0]
-    return PolyExpansion(out)
+    return out
 
 
 def _gaussian_kernel(length: int) -> np.ndarray:
@@ -203,13 +191,12 @@ def _blur(arr: np.ndarray, kernel: np.ndarray, region: tuple[slice, slice]) -> n
 
 
 def _warp(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-          origin: tuple[int, int] = (0, 0), level: tuple[int, int] | None = None) -> np.ndarray:
+          origin: tuple[int, int], level: tuple[int, int]) -> np.ndarray:
     """Every plane of a rows x cols x k field sampled at (`rows`, `cols`),
     two arrays that broadcast to the samples' shape, with one set of
     bilinear weights per sample; the planes stay on the last axis.  The
     field has `level` rows x cols, and `planes` is its part from pixel
-    `origin` on, which must hold every pixel the samples read; by default
-    `planes` is the whole field.
+    `origin` on, which must hold every pixel the samples read.
 
     Each plane has the bits `map_coordinates(plane, [rows, cols], order=1,
     mode="nearest")` gives it.  So, as there, an axis weighs its samples
@@ -222,7 +209,7 @@ def _warp(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     axes = []
     # a pixel's index in `flat` is its row times `w` plus its column less
     # the origin's index, so that each axis costs one operation past the clamp
-    for c, n, index in zip((rows, cols), level or (h, w),
+    for c, n, index in zip((rows, cols), level,
                            (lambda i: i * w, lambda i: i - (origin[0] * w + origin[1]))):
         lo = np.floor(c)
         w0 = 1.0 - (c - lo)
@@ -264,27 +251,33 @@ class _Growing:
             self.box = reads
             self.expansion = poly_expand(self.level, self.params.poly_n, self.params.poly_sigma,
                                          reads)
-        return _warp(self.expansion.planes, rows, cols, (self.box[0].start, self.box[1].start),
+        return _warp(self.expansion, rows, cols, (self.box[0].start, self.box[1].start),
                      self.level.shape)
 
 
-def _normal_terms(e1: PolyExpansion, e2: _Growing, dx, dy,
+# The planes of an expansion, in order: the linear terms bx and by, the
+# x^2 and y^2 terms a11 and a22, and the xy term axy, twice A's
+# off-diagonal.  The constant term is not kept.
+_BX, _BY, _A11, _A22, _AXY = range(5)
+
+
+def _normal_terms(e1: np.ndarray, e2: _Growing, dx, dy,
                   domain: tuple[slice, slice]) -> np.ndarray:
     """Stacked terms of the normal equations of min ||A d - db||^2.
 
-    `dx`, `dy` and `e1` cover `domain` of the level; `e2` is read where
-    the warp lands.  Kept apart from the blur so the warped coefficients
-    are freed first.
+    `dx`, `dy` and the expansion `e1` cover `domain` of the level; `e2` is
+    read where the warp lands.  Kept apart from the blur so the warped
+    coefficients are freed first.
     """
     rows = np.arange(domain[0].start, domain[0].stop, dtype=np.float64)[:, None] + dy
     cols = np.arange(domain[1].start, domain[1].stop, dtype=np.float64) + dx
-    warped = PolyExpansion(e2.warp(rows, cols))
+    warped = e2.warp(rows, cols)
     del rows, cols
-    a11 = 0.5 * (e1.a11 + warped.a11)
-    a12 = 0.25 * (e1.axy + warped.axy)  # half the mean xy term; exact, a power of two
-    a22 = 0.5 * (e1.a22 + warped.a22)
-    db1 = -0.5 * (warped.bx - e1.bx) + a11 * dx + a12 * dy
-    db2 = -0.5 * (warped.by - e1.by) + a12 * dx + a22 * dy
+    a11 = 0.5 * (e1[..., _A11] + warped[..., _A11])
+    a12 = 0.25 * (e1[..., _AXY] + warped[..., _AXY])  # half the mean xy term; exact, a power of two
+    a22 = 0.5 * (e1[..., _A22] + warped[..., _A22])
+    db1 = -0.5 * (warped[..., _BX] - e1[..., _BX]) + a11 * dx + a12 * dy
+    db2 = -0.5 * (warped[..., _BY] - e1[..., _BY]) + a12 * dx + a22 * dy
     del warped
     return np.stack([
         a11 * a11 + a12 * a12,
@@ -295,7 +288,7 @@ def _normal_terms(e1: PolyExpansion, e2: _Growing, dx, dy,
     ])
 
 
-def _update_flow(e1: PolyExpansion, e2: _Growing, dx, dy, kernel: np.ndarray,
+def _update_flow(e1: np.ndarray, e2: _Growing, dx, dy, kernel: np.ndarray,
                  domain: tuple[slice, slice], final: tuple[slice, slice]):
     """One update of the flow `dx`, `dy` over `domain`, returned on `final`.
 
@@ -319,20 +312,15 @@ def _update_flow(e1: PolyExpansion, e2: _Growing, dx, dy, kernel: np.ndarray,
     return new_dx, new_dy
 
 
-def _resize(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    factors = (shape[0] / arr.shape[0], shape[1] / arr.shape[1])
-    return ndimage.zoom(arr, factors, order=1, mode="nearest", grid_mode=True)
+def _resize(planes: np.ndarray, origin: tuple[int, int], level: tuple[int, int],
+            shape: tuple[int, int], region: tuple[slice, slice]) -> np.ndarray:
+    """`region` of a rows x cols x k field of `level` rows x cols resized
+    bilinearly to `shape`, plane by plane, where `planes` is the field's
+    part from pixel `origin` on and must hold every pixel the samples read.
 
-
-def _upsample(planes: np.ndarray, origin: tuple[int, int], level: tuple[int, int],
-              shape: tuple[int, int], region: tuple[slice, slice]) -> np.ndarray:
-    """`_resize(whole[..., k], shape)[region]` for each plane k, where
-    `whole` is a rows x cols x k field of `level` rows x cols and `planes`
-    is its part from pixel `origin` on.
-
-    The samples sit where `_resize` puts them, `(k + 0.5) * level / shape
-    - 0.5` on each axis, so they have its bits; `planes` must hold every
-    pixel they read.
+    The samples sit on the pixel-centre grid of an order-1 resize with
+    edge replication, `(k + 0.5) * level / shape - 0.5` on each axis, as
+    OpenCV's bilinear `resize` puts them, with `_warp`'s weights.
     """
     rows, cols = ((np.arange(r.start, r.stop) + 0.5) * (n / m) - 0.5
                   for r, n, m in zip(region, level, shape))
@@ -349,18 +337,17 @@ class Pyramid:
 
     levels: list[np.ndarray]
     params: FlowParams
-    expanded: dict[int, tuple[tuple[slice, slice], PolyExpansion]] = field(default_factory=dict)
+    expanded: dict[int, tuple[tuple[slice, slice], np.ndarray]] = field(default_factory=dict)
 
     def cone(self, k: int, region: tuple[slice, slice]) -> np.ndarray:
-        """The planes of level `k`'s expansion on `region`: cut from the
-        expansion left there, which this takes, where that covers `region`,
-        and expanded there otherwise."""
+        """Level `k`'s expansion on `region`: cut from the expansion left
+        there, which this takes, where that covers `region`, and expanded
+        there otherwise."""
         box, e = self.expanded.pop(k, (None, None))
         if e is not None and _inside(region, box):
-            return e.planes[tuple([slice(r.start - b.start, r.stop - b.start)
-                                   for r, b in zip(region, box)])]
-        return poly_expand(self.levels[k], self.params.poly_n, self.params.poly_sigma,
-                           region).planes
+            return e[tuple([slice(r.start - b.start, r.stop - b.start)
+                            for r, b in zip(region, box)])]
+        return poly_expand(self.levels[k], self.params.poly_n, self.params.poly_sigma, region)
 
 
 def image_pyramid(frame, params: FlowParams) -> Pyramid:
@@ -379,8 +366,9 @@ def image_pyramid(frame, params: FlowParams) -> Pyramid:
                  max(1, round(img.shape[1] * params.pyramid_scale)))
         if min(shape) < params.poly_n:
             break
-        img = _resize(ndimage.gaussian_filter(img, sigma, mode="nearest", output=np.float64),
-                      shape)
+        blurred = ndimage.gaussian_filter(img, sigma, mode="nearest", output=np.float64)
+        img = _resize(blurred[..., None], (0, 0), blurred.shape, shape,
+                      (slice(0, shape[0]), slice(0, shape[1])))[..., 0]
         levels.append(img)
     return Pyramid(levels, params)
 
@@ -398,7 +386,7 @@ def estimate_flow(prev_pyr: Pyramid, next_pyr: Pyramid, params: FlowParams,
     update at a pixel reads the first frame's expansion there, the second
     frame's where the warp lands, and the window blur.  A level's flow
     starts as the coarser field carried up on its first domain alone
-    (`_upsample`).  So the field over `span` has the bits of the
+    (`_resize`).  So the field over `span` has the bits of the
     whole-frame field.
 
     A level is expanded only where it is read, by `poly_expand` on a
@@ -429,12 +417,12 @@ def estimate_flow(prev_pyr: Pyramid, next_pyr: Pyramid, params: FlowParams,
             dx = dy = np.zeros(cone.shape[:2])
         else:
             level, origin = coarser
-            up = _upsample(np.stack([dx, dy], -1), origin, level, shape, first)
+            up = _resize(np.stack([dx, dy], -1), origin, level, shape, first)
             dx, dy = up[..., 0] * (shape[1] / level[1]), up[..., 1] * (shape[0] / level[0])
         for domain, final in zip(steps, steps[1:]):
             local = tuple([slice(d.start - f.start, d.stop - f.start)
                            for d, f in zip(domain, first)])
-            dx, dy = _update_flow(PolyExpansion(cone[local]), e2, dx, dy, kernel, domain, final)
+            dx, dy = _update_flow(cone[local], e2, dx, dy, kernel, domain, final)
         next_pyr.expanded[k] = e2.box, e2.expansion
         coarser = shape, (steps[-1][0].start, steps[-1][1].start)
     return FlowField(dx, dy)

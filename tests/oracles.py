@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's fast paths: rasterized pixel
 sets for box geometry, flood fill for components, dense least squares
-for the polynomial fit, naive PR enumeration for AP, the per-pair flow
-arithmetic with no shared passes, and the motion statistics taken over
+for the polynomial fit, naive PR enumeration for AP, gray pyramids
+resized by `ndimage.zoom`, the per-pair flow arithmetic with no shared
+passes and OpenCV's window kernel, and the motion statistics taken over
 the whole frame through a boolean region, and a scan of every motion
 sample per Riker record.  The output files of
 `analyze` and `eval` are formatted here line by line, field by field,
@@ -21,7 +22,7 @@ from wardflow.boxes import (BoundingBox, ObjectClass, intersection_area, iou,
                             match_detections, pixel_span)
 from wardflow.evaluation import counting_accuracy, format_duration, mean_ap, time_error
 from wardflow.svgplot import Panel, Series, render_chart
-from wardflow.flow import _COND_LIMIT, _MIN_EIG, _gaussian_kernel, _resize
+from wardflow.flow import _COND_LIMIT, _MIN_EIG
 
 _DURATION_RE = re.compile(r"^(?:(?P<h>\d+)h)?(?:(?P<m>\d+)m)?(?:(?P<s>\d+)s)?$")
 
@@ -96,6 +97,35 @@ def polyfit_neighborhood(img, row, col, poly_n, poly_sigma):
     return c, bx, by, a11, a22, axy / 2.0
 
 
+def resize(arr, shape):
+    """`arr` resized bilinearly to `shape` on the pixel-centre grid, with
+    edge replication."""
+    factors = (shape[0] / arr.shape[0], shape[1] / arr.shape[1])
+    return ndimage.zoom(arr, factors, order=1, mode="nearest", grid_mode=True)
+
+
+def gaussian_kernel(n):
+    """OpenCV's normalized n-tap Gaussian, sigma = 0.3 * ((n - 1) / 2 - 1) + 0.8."""
+    sigma = 0.3 * ((n - 1) / 2 - 1) + 0.8
+    x = np.arange(n, dtype=np.float64) - (n - 1) / 2
+    k = np.exp(-(x * x) / (2 * sigma * sigma))
+    return k / k.sum()
+
+
+def pyramid(img, params):
+    """The gray levels of `img` in float64, finest first: each coarser one
+    the level above it blurred and `resize`d, while it holds `poly_n` px."""
+    levels = [np.asarray(img, dtype=np.float64)]
+    sigma = np.sqrt(1.0 / params.pyramid_scale**2 - 1.0)
+    for _ in range(params.pyramid_levels - 1):
+        shape = (max(1, round(levels[-1].shape[0] * params.pyramid_scale)),
+                 max(1, round(levels[-1].shape[1] * params.pyramid_scale)))
+        if min(shape) < params.poly_n:
+            break
+        levels.append(resize(ndimage.gaussian_filter(levels[-1], sigma, mode="nearest"), shape))
+    return levels
+
+
 def flow_per_pair(img1, img2, params, seed=None):
     """Coarse-to-fine flow for one image pair, each step written out.
 
@@ -135,7 +165,7 @@ def flow_per_pair(img1, img2, params, seed=None):
         a22 = 0.5 * (e1[2] + w22)
         db1 = -0.5 * (wbx - e1[3]) + a11 * dx + a12 * dy
         db2 = -0.5 * (wby - e1[4]) + a12 * dx + a22 * dy
-        k = _gaussian_kernel(params.window)
+        k = gaussian_kernel(params.window)
         m11 = corr(a11 * a11 + a12 * a12, k, k)
         m12 = corr(a12 * (a11 + a22), k, k)
         m22 = corr(a12 * a12 + a22 * a22, k, k)
@@ -149,16 +179,7 @@ def flow_per_pair(img1, img2, params, seed=None):
         return (np.where(ok, (m22 * h1 - m12 * h2) / det, dx),
                 np.where(ok, (m11 * h2 - m12 * h1) / det, dy))
 
-    pyr1 = [np.asarray(img1, dtype=np.float64)]
-    pyr2 = [np.asarray(img2, dtype=np.float64)]
-    sigma = np.sqrt(1.0 / params.pyramid_scale**2 - 1.0)
-    for _ in range(params.pyramid_levels - 1):
-        shape = (max(1, round(pyr1[-1].shape[0] * params.pyramid_scale)),
-                 max(1, round(pyr1[-1].shape[1] * params.pyramid_scale)))
-        if min(shape) < params.poly_n:
-            break
-        pyr1.append(_resize(ndimage.gaussian_filter(pyr1[-1], sigma, mode="nearest"), shape))
-        pyr2.append(_resize(ndimage.gaussian_filter(pyr2[-1], sigma, mode="nearest"), shape))
+    pyr1, pyr2 = pyramid(img1, params), pyramid(img2, params)
     dx = dy = None
     for level in reversed(range(len(pyr1))):
         shape = pyr1[level].shape
@@ -168,8 +189,8 @@ def flow_per_pair(img1, img2, params, seed=None):
             if dx is None:
                 dx, dy = seed.dx, seed.dy
             prev_shape = dx.shape
-            dx = _resize(dx, shape) * (shape[1] / prev_shape[1])
-            dy = _resize(dy, shape) * (shape[0] / prev_shape[0])
+            dx = resize(dx, shape) * (shape[1] / prev_shape[1])
+            dy = resize(dy, shape) * (shape[0] / prev_shape[0])
         e1, e2 = expand(pyr1[level]), expand(pyr2[level])
         for _ in range(params.iterations):
             dx, dy = update(e1, e2, dx, dy)

@@ -138,15 +138,16 @@ def _shifted_pair(seed, shift, size=64, margin=8):
 
 def test_criterion_6_polynomial_expansion():
     params = FlowParams()
+    # an expansion's planes are, in order, bx, by, a11, a22 and axy
     e = poly_expand(np.full((16, 16), 7.0), params.poly_n, params.poly_sigma)
-    assert all(np.abs(coef).max() < 1e-9 for coef in (e.a11, e.axy, e.a22, e.bx, e.by))
+    assert e.shape == (16, 16, 5) and np.abs(e).max() < 1e-9
     X = np.tile(np.arange(24, dtype=float), (24, 1))
     interior = (slice(5, -5), slice(5, -5))
     e = poly_expand(3.0 * X, params.poly_n, params.poly_sigma)
-    assert np.abs(e.bx[interior] - 3.0).max() < 1e-6
-    assert np.abs(e.by[interior]).max() < 1e-6
+    assert np.abs(e[interior][..., 0] - 3.0).max() < 1e-6
+    assert np.abs(e[interior][..., 1]).max() < 1e-6
     e = poly_expand(X * X, params.poly_n, params.poly_sigma)
-    assert np.abs(e.a11[interior] - 1.0).max() < 1e-3
+    assert np.abs(e[interior][..., 2] - 1.0).max() < 1e-3
     print("PASS criterion 6: expansion exact on constant, ramp (b=(3,0)), "
           "and quadratic (A11=1) images")
 

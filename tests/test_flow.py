@@ -4,11 +4,10 @@ from scipy import ndimage
 
 import wardflow.flow
 import wardflow.pipeline
-from oracles import flow_per_pair, polyfit_neighborhood, raster_mask
+from oracles import flow_per_pair, polyfit_neighborhood, pyramid, raster_mask, resize
 from wardflow.boxes import BoundingBox, Detection, FrameDetections, ObjectClass, pixel_span
-from wardflow.flow import (FlowParams, _dependency_cones, _resize, _upsample, _warp,
-                           estimate_flow, image_pyramid, magnitude_stats, mask_worker_regions,
-                           poly_expand)
+from wardflow.flow import (FlowParams, _dependency_cones, _resize, _warp, estimate_flow,
+                           image_pyramid, magnitude_stats, mask_worker_regions, poly_expand)
 from wardflow.frames import ThermalFrame
 from wardflow.pipeline import SessionConfig, analyze_session
 from wardflow.synth import ActorScript, Keyframe, Scenario, render
@@ -58,6 +57,11 @@ def expand(img):
     return poly_expand(img, DEFAULT.poly_n, DEFAULT.poly_sigma)
 
 
+def planes(e):
+    """The planes of an expansion, in its order: bx, by, a11, a22, axy."""
+    return np.moveaxis(e, -1, 0)
+
+
 def flow_between(img, moved, params=DEFAULT):
     """The whole-frame flow between two images, each built once as a pyramid."""
     return estimate_flow(image_pyramid(img, params), image_pyramid(moved, params), params,
@@ -66,34 +70,33 @@ def flow_between(img, moved, params=DEFAULT):
 
 class TestPolyExpand:
     def test_constant_image(self):
-        e = expand(np.full((16, 16), 42.0))
-        for coef in (e.a11, e.axy, e.a22, e.bx, e.by):
+        for coef in planes(expand(np.full((16, 16), 42.0))):
             assert np.abs(coef).max() < 1e-9
 
     def test_linear_ramp(self):
         X = np.tile(np.arange(20, dtype=float), (20, 1))
-        e = expand(3.0 * X)
+        bx, by, a11, _a22, _axy = planes(expand(3.0 * X))
         interior = (slice(4, -4), slice(4, -4))
-        assert np.abs(e.bx[interior] - 3.0).max() < 1e-6
-        assert np.abs(e.by[interior]).max() < 1e-6
-        assert np.abs(e.a11[interior]).max() < 1e-6
+        assert np.abs(bx[interior] - 3.0).max() < 1e-6
+        assert np.abs(by[interior]).max() < 1e-6
+        assert np.abs(a11[interior]).max() < 1e-6
 
     def test_quadratic(self):
         X = np.tile(np.arange(20, dtype=float), (20, 1))
-        e = expand(X * X)
+        a11 = planes(expand(X * X))[2]
         interior = (slice(4, -4), slice(4, -4))
-        assert np.abs(e.a11[interior] - 1.0).max() < 1e-3
+        assert np.abs(a11[interior] - 1.0).max() < 1e-3
 
     def test_matches_dense_least_squares_oracle(self):
         img = smooth_texture(42, shape=(24, 24))
         e = poly_expand(img, poly_n=5, poly_sigma=1.1)
         for row, col in [(6, 6), (11, 15), (17, 8)]:
             _c, bx, by, a11, a22, a12 = polyfit_neighborhood(img, row, col, 5, 1.1)
-            assert e.bx[row, col] == pytest.approx(bx, abs=1e-8)
-            assert e.by[row, col] == pytest.approx(by, abs=1e-8)
-            assert e.a11[row, col] == pytest.approx(a11, abs=1e-8)
-            assert e.a22[row, col] == pytest.approx(a22, abs=1e-8)
-            assert e.axy[row, col] == pytest.approx(2.0 * a12, abs=1e-8)
+            assert e[row, col, 0] == pytest.approx(bx, abs=1e-8)
+            assert e[row, col, 1] == pytest.approx(by, abs=1e-8)
+            assert e[row, col, 2] == pytest.approx(a11, abs=1e-8)
+            assert e[row, col, 3] == pytest.approx(a22, abs=1e-8)
+            assert e[row, col, 4] == pytest.approx(2.0 * a12, abs=1e-8)
 
     def test_strips_have_the_bits_of_one_strip(self, monkeypatch):
         # strips of one row, of odd heights and taller than the level all
@@ -109,10 +112,10 @@ class TestPolyExpand:
                     if min(shape) < poly_n:
                         continue
                     monkeypatch.setattr(wardflow.flow, "_STRIP_PIXELS", img.size)
-                    whole = poly_expand(img, poly_n, poly_sigma).planes
+                    whole = poly_expand(img, poly_n, poly_sigma)
                     for rows in {1, 2, 3, 7, int(rng.integers(1, shape[0] + 1)), shape[0] + 5}:
                         monkeypatch.setattr(wardflow.flow, "_STRIP_PIXELS", rows * shape[1])
-                        got = poly_expand(img, poly_n, poly_sigma).planes
+                        got = poly_expand(img, poly_n, poly_sigma)
                         assert np.array_equal(got.view(np.int64), whole.view(np.int64)), \
                             (shape, poly_n, rows)
 
@@ -121,18 +124,15 @@ class TestPolyExpand:
             expand(np.zeros((3, 10)))
 
     def test_levels_are_five_planes_of_one_buffer(self):
-        # an expanded level, or region of one, holds exactly the planes the
-        # flow reads, with no copy
+        # an expanded level, or region of one, is exactly the five planes
+        # the flow reads, in one buffer of its own
         for level in image_pyramid(smooth_texture(3, shape=(40, 52)), DEFAULT).levels:
-            for region in (None, (slice(1, 4), slice(2, 9))):
-                e = expand(level) if region is None else poly_expand(
-                    level, DEFAULT.poly_n, DEFAULT.poly_sigma, region)
-                buffer = e.planes
-                assert list(vars(e)) == ["planes"]
-                assert buffer.dtype == np.float64 and buffer.shape == e.a11.shape + (5,)
-                assert buffer.base is None  # no larger buffer kept alive behind it
-                planes = [e.a11, e.a22, e.axy, e.bx, e.by]
-                assert all(plane.base is buffer for plane in planes)
+            for region in (whole(level.shape), (slice(1, 4), slice(2, 9))):
+                e = poly_expand(level, DEFAULT.poly_n, DEFAULT.poly_sigma, region)
+                assert type(e) is np.ndarray and e.dtype == np.float64
+                assert e.shape == (region[0].stop - region[0].start,
+                                   region[1].stop - region[1].start, 5)
+                assert e.base is None  # no larger buffer kept alive behind it
 
 
 class TestEstimateFlow:
@@ -329,11 +329,11 @@ class TestRegionExpansion:
                     if min(shape) < poly_n:
                         continue
                     monkeypatch.setattr(wardflow.flow, "_STRIP_PIXELS", 32 * 384)
-                    want = poly_expand(img.astype(np.float64), poly_n, poly_sigma).planes
+                    want = poly_expand(img.astype(np.float64), poly_n, poly_sigma)
                     for region in self.regions(rng, shape):
                         for strip in (32 * 384, 1, 3 * shape[1]):
                             monkeypatch.setattr(wardflow.flow, "_STRIP_PIXELS", strip)
-                            got = poly_expand(img, poly_n, poly_sigma, region).planes
+                            got = poly_expand(img, poly_n, poly_sigma, region)
                             assert np.array_equal(got.view(np.int64),
                                                   want[region].view(np.int64)), \
                                 (shape, img.dtype, poly_n, region, strip)
@@ -370,8 +370,8 @@ class TestRegionExpansion:
                     for j, level in enumerate(pyramids[k].levels):
                         box, e = pyramids[k].expanded[j]
                         regions = [region for image, region in expansions if image is level]
-                        assert regions[-1] == box and e.a11.shape == (box[0].stop - box[0].start,
-                                                                      box[1].stop - box[1].start)
+                        assert regions[-1] == box and e.shape == (box[0].stop - box[0].start,
+                                                                  box[1].stop - box[1].start, 5)
                         for small, large in zip(regions, regions[1:]):  # each the union so far
                             assert all(a.start >= b.start and a.stop <= b.stop
                                        for a, b in zip(small, large)) and small != large
@@ -403,7 +403,8 @@ class TestRegionExpansion:
 
 
 class TestConeUpsample:
-    """Carrying a coarser field up on a region has the bits of `_resize`."""
+    """Resizing a field on a region, from a part of it, has the bits of
+    `ndimage.zoom` on the whole field."""
 
     @staticmethod
     def footprint(region, level, shape):
@@ -412,14 +413,14 @@ class TestConeUpsample:
                      for r, n, m in zip(region, level, shape))
 
     def check(self, arr, shape, region):
-        # two planes, each equal to what `_resize` gives it alone; only the
-        # sign of a zero may differ, where `_resize` keeps a -0.0 that the
-        # warp's sum from 0.0 turns to 0.0, as `map_coordinates` does
+        # two planes, each equal to what zoom gives it alone; only the sign
+        # of a zero may differ, where zoom keeps a -0.0 that the warp's sum
+        # from 0.0 turns to 0.0, as `map_coordinates` does
         planes = np.stack([arr, -3.0 * arr], -1)
-        expected = np.stack([_resize(p, shape)[region] for p in (arr, -3.0 * arr)], -1)
-        assert np.array_equal(_upsample(planes, (0, 0), arr.shape, shape, region), expected)
+        expected = np.stack([resize(p, shape)[region] for p in (arr, -3.0 * arr)], -1)
+        assert np.array_equal(_resize(planes, (0, 0), arr.shape, shape, region), expected)
         part = self.footprint(region, arr.shape, shape)
-        got = _upsample(planes[part], (part[0].start, part[1].start), arr.shape, shape, region)
+        got = _resize(planes[part], (part[0].start, part[1].start), arr.shape, shape, region)
         assert np.array_equal(got, expected), (arr.shape, shape, region)
 
     @pytest.mark.parametrize("level, shape", [((9, 12), (18, 24)), ((18, 23), (37, 41)),
@@ -441,13 +442,44 @@ class TestConeUpsample:
 
     def test_random_shapes_and_regions(self):
         rng = np.random.default_rng(29)
-        for _ in range(2000):
+        for low in np.repeat([1.0, 0.3], 2000):  # growing only, then shrinking too
             level = tuple(int(n) for n in rng.integers(1, 50, size=2))
-            shape = tuple(max(1, int(n * rng.uniform(1.0, 3.0))) for n in level)
+            shape = tuple(max(1, int(n * rng.uniform(low, 3.0))) for n in level)
             arr = rng.normal(size=level) * rng.choice([1.0, 1e6])
             arr[rng.random(level) < 0.2] = rng.choice([0.0, -0.0])
             bounds = [np.sort(rng.choice(m + 1, size=2, replace=False)) for m in shape]
             self.check(arr, shape, tuple(slice(int(lo), int(hi)) for lo, hi in bounds))
+
+    def test_pyramid_levels_have_the_bits_of_zoom(self):
+        # every level of uint8 frames, with odd sizes, one to four levels and
+        # coarsest levels just poly_n wide, has the bits of the oracle's
+        # gaussian_filter and zoom; float frames may differ only in the sign
+        # of a zero, which the warp's sum from 0.0 turns to 0.0
+        rng = np.random.default_rng(31)
+        shapes = [(5, 5), (5, 9), (9, 9), (10, 11), (19, 41), (20, 37), (39, 77), (40, 21),
+                  (72, 96), (143, 191), (288, 384), (7, 13), (14, 28), (28, 56)]
+        shapes += [tuple(int(n) for n in rng.integers(5, 120, size=2)) for _ in range(16)]
+        coarsest_at_poly_n = 0
+        for shape in shapes:
+            gray = rng.integers(0, 256, shape).astype(np.uint8)
+            signed = rng.normal(size=shape) * 100.0
+            signed[rng.random(shape) < 0.3] = -0.0
+            for levels in (1, 2, 3, 4):
+                for poly_n, poly_sigma in ((5, 1.1), (7, 1.5)):
+                    if min(shape) < poly_n:
+                        continue
+                    params = FlowParams(pyramid_levels=levels, poly_n=poly_n, poly_sigma=poly_sigma)
+                    got = image_pyramid(gray, params).levels
+                    want = pyramid(gray, params)
+                    assert len(got) == len(want)
+                    assert got[0] is gray
+                    for g, w in zip(got[1:], want[1:]):
+                        assert g.dtype == np.float64 and g.shape == w.shape
+                        assert np.array_equal(g.view(np.int64), w.view(np.int64)), (shape, levels)
+                    coarsest_at_poly_n += min(got[-1].shape) == poly_n and len(got) > 1
+                    got, want = image_pyramid(signed, params).levels, pyramid(signed, params)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert coarsest_at_poly_n >= 10, coarsest_at_poly_n
 
 
 class TestSharedWarp:
@@ -459,7 +491,7 @@ class TestSharedWarp:
         expected = np.stack([ndimage.map_coordinates(planes[..., k], [rows, cols], order=1,
                                                      mode="nearest")
                              for k in range(planes.shape[-1])], axis=-1)
-        got = _warp(planes, rows, cols)
+        got = _warp(planes, rows, cols, (0, 0), planes.shape[:2])
         # compared as bits, so a -0.0 where map_coordinates gives 0.0 fails
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (rows, cols)
@@ -511,16 +543,23 @@ class TestIterationDomains:
     SHAPE = (120, 160)  # levels 120x160, 60x80 and 30x40; the blur reaches 7 px
 
     def domains(self, monkeypatch, span):
-        calls, kernels = [], []
-        update, kernel = wardflow.flow._update_flow, wardflow.flow._gaussian_kernel
+        calls, kernels, resized = [], [], []
+        update, kernel, resize_ = (wardflow.flow._update_flow, wardflow.flow._gaussian_kernel,
+                                   wardflow.flow._resize)
 
         def recording_update(e1, e2, dx, dy, *rest):
             new_dx, new_dy = update(e1, e2, dx, dy, *rest)
             calls.append((dx.shape, new_dx.shape))
             return new_dx, new_dy
 
-        def no_resize(*args):
-            raise AssertionError("estimate_flow resized a whole level")
+        def cone_resize(planes, origin, level, shape, region):
+            # a coarser field is carried up on the finer level's first domain alone
+            up = resize_(planes, origin, level, shape, region)
+            assert region == firsts[shape]
+            assert up.shape == (region[0].stop - region[0].start,
+                                region[1].stop - region[1].start, 2)
+            resized.append(shape)
+            return up
 
         monkeypatch.setattr(wardflow.flow, "_update_flow", recording_update)
         monkeypatch.setattr(wardflow.flow, "_gaussian_kernel",
@@ -528,10 +567,14 @@ class TestIterationDomains:
         a = smooth_texture(4, shape=self.SHAPE, sigma=2.0)
         b = np.roll(a, (1, -2), axis=(0, 1))
         prev_pyr, next_pyr = image_pyramid(a, DEFAULT), image_pyramid(b, DEFAULT)
-        monkeypatch.setattr(wardflow.flow, "_resize", no_resize)
+        shapes = [level.shape for level in next_pyr.levels]
+        firsts = {shape: steps[0]
+                  for shape, steps in zip(shapes, _dependency_cones(shapes, span, DEFAULT))}
+        monkeypatch.setattr(wardflow.flow, "_resize", cone_resize)
         flow = estimate_flow(prev_pyr, next_pyr, DEFAULT, span)
         assert flow.dx.shape == flow.dy.shape == calls[-1][1]
         assert kernels == [DEFAULT.window]
+        assert resized == shapes[-2::-1]  # once per level but the coarsest, coarse to fine
         return calls
 
     def test_mid_frame_span(self, monkeypatch):
